@@ -22,14 +22,14 @@
 //! effects which the owning [`crate::node::Node`] executes.
 
 use crate::dif::DifConfig;
-use crate::msg::MgmtBody;
+use crate::msg::{MgmtBody, RibBatchView};
 use crate::naming::{Addr, AppName};
 use crate::qos::{match_cube, QosSpec};
 use crate::rmt::TxClass;
 use crate::routing::{EngineStats, Lsa, RouteEngine, LSA_CLASS, LSA_PREFIX};
 use bytes::Bytes;
 use rina_efcp::{ConnId, Connection};
-use rina_rib::{subtree_of, DigestTable, Rib, RibEvent, RibObject};
+use rina_rib::{subtree_of, DigestTable, Rib, RibEvent, RibObject, RibObjectView};
 use rina_sim::{Dur, Time};
 use rina_wire::{CdapMsg, CepId, MgmtPdu, Pdu, PduKind, PduView};
 use std::collections::BTreeMap;
@@ -399,6 +399,10 @@ pub struct Ipcp {
     /// Applications registered here (drives directory reasserts when a
     /// wrong purge tombstones one of our `/dir/*` entries).
     registered: Vec<AppName>,
+    /// Names of the objects this member is authoritative for, which
+    /// [`Ipcp::reassert_own`] checks every applied object against. Set
+    /// with the address: shims and unenrolled processes never reassert.
+    own: OwnNames,
     /// This member announced a graceful leave: its objects are
     /// tombstoned and it must not originate new state (LSA refreshes,
     /// reasserts) that would resurrect itself while it lingers.
@@ -492,6 +496,7 @@ impl Ipcp {
             sponsored: BTreeMap::new(),
             gc_watch: BTreeMap::new(),
             registered: Vec::new(),
+            own: OwnNames::default(),
             departed: false,
             retry_hint: None,
             out: Vec::new(),
@@ -522,13 +527,25 @@ impl Ipcp {
     pub fn bootstrap(&mut self, addr: Addr) {
         assert!(!self.enrolled, "already a member");
         assert!(addr != 0, "address 0 is reserved");
-        self.addr = addr;
+        self.set_addr(addr);
         self.block = (addr, addr);
+        self.enrolled = true;
+        self.rib.write_local(&self.own.member, "member", encode_addr(addr));
+        self.drain_rib();
+    }
+
+    /// Adopt `addr` as this member's DIF address.
+    fn set_addr(&mut self, addr: Addr) {
+        self.addr = addr;
         self.rib.set_origin(addr);
         self.engine.set_self(addr);
-        self.enrolled = true;
-        self.rib.write_local(&format!("/members/{}", self.name.key()), "member", encode_addr(addr));
-        self.drain_rib();
+        self.own = OwnNames::new(&self.name, addr);
+    }
+
+    /// Whether `key` is the [`AppName::key`] of an application
+    /// registered here.
+    fn is_registered(&self, key: &str) -> bool {
+        self.registered.iter().any(|r| r.has_key(key))
     }
 
     /// Give this (bootstrapped) member the address block it sponsors
@@ -690,7 +707,7 @@ impl Ipcp {
                 .cloned()
                 .collect();
             for obj in &own {
-                self.flood_rib(obj, None);
+                self.flood_rib(&obj.name, None, || obj.encode());
             }
         }
         self.retry_dir_lookups(now);
@@ -1402,10 +1419,8 @@ impl Ipcp {
         if result != 0 || addr == 0 {
             return; // keep retrying (or give up via node policy)
         }
-        self.addr = addr;
+        self.set_addr(addr);
         self.block = if block == (0, 0) { (addr, addr) } else { block };
-        self.rib.set_origin(addr);
-        self.engine.set_self(addr);
         self.enrolled = true;
         // The port we enrolled through is our spanning-tree edge.
         if let Some(p) = self.enroll_via.and_then(|n1| self.n1.get_mut(n1)) {
@@ -1666,23 +1681,23 @@ impl Ipcp {
     /// remember the newest tombstone per name, drop the cache entry it
     /// kills, and pass it down the spanning tree exactly once (the
     /// newness check is the duplicate suppression).
-    fn on_scoped_dir_flood(&mut self, obj: RibObject, from_n1: usize) {
+    fn on_scoped_dir_flood(&mut self, obj: &RibObjectView<'_>, enc: &Bytes, from_n1: usize) {
         if !obj.deleted {
             return; // live entries are owner-held; never replicated
         }
         let newer =
-            self.dir_neg.get(&obj.name).is_none_or(|&(v, o, _)| (obj.version, obj.origin) > (v, o));
+            self.dir_neg.get(obj.name).is_none_or(|&(v, o, _)| (obj.version, obj.origin) > (v, o));
         if !newer {
             return;
         }
-        self.dir_neg.insert(obj.name.clone(), (obj.version, obj.origin, self.clock));
-        if let Some(c) = self.dir_cache.get(&obj.name) {
+        self.dir_neg.insert(obj.name.to_string(), (obj.version, obj.origin, self.clock));
+        if let Some(c) = self.dir_cache.get(obj.name) {
             if (c.version, c.addr) <= (obj.version, obj.origin) {
-                self.dir_cache.remove(&obj.name);
+                self.dir_cache.remove(obj.name);
                 self.stats.dir_invalidations += 1;
             }
         }
-        let enc = obj.encode();
+        let enc = reflood_bytes(obj, enc);
         for i in 0..self.n1.len() {
             if i != from_n1 && self.n1[i].up && self.n1[i].peer_addr != 0 && self.n1[i].tree {
                 self.flood_q.entry(i).or_default().push(enc.clone());
@@ -2257,6 +2272,20 @@ impl Ipcp {
                 return;
             }
         };
+        // RIEP object batches, most of an assembling DIF's traffic, are
+        // walked in place instead of decoded up front. The whole batch
+        // is validated first, so a malformed one still applies nothing.
+        if let Some(batch) = RibBatchView::of(&cdap) {
+            let Ok(batch) = batch else {
+                self.stats.decode_errors += 1;
+                return;
+            };
+            for span in batch.spans() {
+                self.apply_and_reflood(&cdap.value.slice(span), from_n1);
+            }
+            self.sync_engine();
+            return;
+        }
         let body = match MgmtBody::from_cdap(&cdap) {
             Ok(b) => b,
             Err(_) => {
@@ -2378,8 +2407,9 @@ impl Ipcp {
                     self.out.push(IpcpOut::FlowClosed { port: r.port });
                 }
             }
-            MgmtBody::RibUpdate(obj) => {
-                self.apply_and_reflood(obj, from_n1);
+            MgmtBody::RibUpdate(_) => {
+                // The CDAP value is exactly the object's encoding.
+                self.apply_and_reflood(&cdap.value, from_n1);
             }
             MgmtBody::RibDeltaRequest { subtree, from, upto, summary } => {
                 if self.is_shim || !self.enrolled {
@@ -2399,11 +2429,8 @@ impl Ipcp {
                     self.request_deltas(from_n1, std::slice::from_ref(&subtree));
                 }
             }
-            MgmtBody::RibDeltaResponse { subtree: _, objects } => {
-                for obj in objects {
-                    self.apply_and_reflood(obj, from_n1);
-                }
-            }
+            // Taken by the batch path above.
+            MgmtBody::RibDeltaResponse { .. } => {}
             MgmtBody::DirLookupRequest { name, origin, lookup_id } => {
                 self.handle_dir_lookup_request(name, origin, lookup_id, from_n1);
             }
@@ -2417,11 +2444,17 @@ impl Ipcp {
         self.sync_engine();
     }
 
-    /// Apply one received object; when it is news, re-flood it to the
-    /// other neighbors. LSA changes reach the routing engine through the
-    /// RIB watch hook and repair on the node's debounce timer (a flood
-    /// of remote LSAs collapses into one classified SPF repair).
-    fn apply_and_reflood(&mut self, obj: RibObject, from_n1: usize) {
+    /// Apply one received object, given as its encoding `enc` (a slice
+    /// of the receive buffer); when it is news, re-flood it to the other
+    /// neighbors. A stale duplicate costs one RIB lookup and no
+    /// allocation. LSA changes reach the routing engine through the RIB
+    /// watch hook and repair on the node's debounce timer (a flood of
+    /// remote LSAs collapses into one classified SPF repair).
+    fn apply_and_reflood(&mut self, enc: &Bytes, from_n1: usize) {
+        let Ok(obj) = RibObjectView::peek(enc) else {
+            self.stats.decode_errors += 1;
+            return;
+        };
         if self.scoped_dir() && obj.name.starts_with("/dir/") {
             // Owner-held scope: only the entry's owner stores it. The
             // owner takes the normal path below — apply + reassert heal
@@ -2430,42 +2463,40 @@ impl Ipcp {
             // other member handles the object without storing it.
             let own = self.enrolled
                 && !self.departed
-                && obj
-                    .name
-                    .strip_prefix("/dir/")
-                    .is_some_and(|app| self.registered.iter().any(|r| r.key() == app));
+                && obj.name.strip_prefix("/dir/").is_some_and(|app| self.is_registered(app));
             if !own {
-                self.on_scoped_dir_flood(obj, from_n1);
+                self.on_scoped_dir_flood(&obj, enc, from_n1);
                 return;
             }
         }
-        if self.rib.apply_remote_silent(obj.clone()) {
-            if self.scoped_dir() && obj.deleted {
-                // A departing member's /blocks tombstone rides the
-                // fully-replicated machinery: use it to drop every
-                // cached directory answer pointing at the dead owner.
-                if let Some(a) =
-                    obj.name.strip_prefix(BLOCK_PREFIX).and_then(|s| s.parse::<Addr>().ok())
-                {
-                    self.invalidate_dir_cache_for(a);
-                }
-            }
-            // A genuinely new version from a watched origin proves the
-            // member alive: cancel its pending failure GC.
-            if obj.origin != 0 && !self.gc_watch.is_empty() {
-                self.gc_watch.retain(|_, &mut (a, _)| a != obj.origin);
-            }
-            if self.reassert_own(&obj) {
-                // The stale update was superseded, not re-flooded: the
-                // correction from `drain_rib` floods in its place.
-                return;
-            }
-            self.flood_rib(&obj, Some(from_n1));
+        if !self.rib.apply_remote_view(&obj) {
+            return;
         }
+        if self.scoped_dir() && obj.deleted {
+            // A departing member's /blocks tombstone rides the
+            // fully-replicated machinery: use it to drop every cached
+            // directory answer pointing at the dead owner.
+            if let Some(a) =
+                obj.name.strip_prefix(BLOCK_PREFIX).and_then(|s| s.parse::<Addr>().ok())
+            {
+                self.invalidate_dir_cache_for(a);
+            }
+        }
+        // A genuinely new version from a watched origin proves the
+        // member alive: cancel its pending failure GC.
+        if obj.origin != 0 && !self.gc_watch.is_empty() {
+            self.gc_watch.retain(|_, &mut (a, _)| a != obj.origin);
+        }
+        if self.reassert_own(obj.name) {
+            // The stale update was superseded, not re-flooded: the
+            // correction from `drain_rib` floods in its place.
+            return;
+        }
+        self.flood_rib(obj.name, Some(from_n1), || reflood_bytes(&obj, enc));
     }
 
-    /// If `obj` (just applied) clobbers an object this member is
-    /// authoritative for — its member record, its block, its LSA, or a
+    /// If the object named `name` (just applied) clobbers one this member
+    /// is authoritative for — its member record, its block, its LSA, or a
     /// live directory registration of its own — rewrite the truth and
     /// flood the correction ([`Rib::write_local`] bumps above whatever
     /// version is stored, tombstones included, so one round suffices).
@@ -2483,24 +2514,24 @@ impl Ipcp {
     /// tombstoned DIF-wide (nothing re-marks it dirty: the neighbor set
     /// matches what it believes it advertises) and the member is
     /// silently unroutable until its next adjacency change.
-    fn reassert_own(&mut self, obj: &RibObject) -> bool {
+    fn reassert_own(&mut self, name: &str) -> bool {
         if !self.enrolled || self.is_shim || self.departed {
             return false;
         }
-        let truth: Option<(&str, Bytes)> = if obj.name == format!("/members/{}", self.name.key()) {
+        let truth: Option<(&str, Bytes)> = if name == self.own.member {
             Some(("member", encode_addr(self.addr)))
-        } else if obj.name == block_name(self.addr) {
+        } else if name == self.own.block {
             Some((BLOCK_CLASS, encode_block(self.block)))
-        } else if obj.name == Lsa::object_name(self.addr) {
+        } else if name == self.own.lsa {
             let lsa = Lsa { neighbors: self.advertised.iter().map(|&a| (a, 1)).collect() };
             Some((LSA_CLASS, lsa.encode()))
-        } else if let Some(app) = obj.name.strip_prefix("/dir/") {
-            self.registered.iter().any(|r| r.key() == app).then(|| ("dir", encode_addr(self.addr)))
+        } else if let Some(app) = name.strip_prefix("/dir/") {
+            self.is_registered(app).then(|| ("dir", encode_addr(self.addr)))
         } else {
             None
         };
         let Some((class, value)) = truth else { return false };
-        let wrong = match self.rib.get(&obj.name) {
+        let wrong = match self.rib.get(name) {
             None => true, // tombstoned (a live different value is also wrong)
             Some(o) => o.value != value,
         };
@@ -2508,7 +2539,7 @@ impl Ipcp {
             return false;
         }
         self.stats.reasserts += 1;
-        self.rib.write_local(&obj.name, class, value);
+        self.rib.write_local(name, class, value);
         self.drain_rib();
         true
     }
@@ -2528,8 +2559,9 @@ impl Ipcp {
     /// PDUs per port) when the node drains this process's effects, so a
     /// burst applied in one pass — a streamed enrollment sync, a whole
     /// wave's LSAs — re-floods as a burst, not one PDU per object.
-    fn flood_rib(&mut self, obj: &RibObject, except: Option<usize>) {
-        let subtree = subtree_of(&obj.name);
+    /// `encode` yields the object's wire bytes, at most once.
+    fn flood_rib(&mut self, name: &str, except: Option<usize>, encode: impl Fn() -> Bytes) {
+        let subtree = subtree_of(name);
         let ours = self.rib.subtree_digest(subtree);
         let mut enc: Option<Bytes> = None;
         for i in 0..self.n1.len() {
@@ -2545,7 +2577,7 @@ impl Ipcp {
                 self.stats.flood_suppressed += 1;
                 continue;
             }
-            let enc = enc.get_or_insert_with(|| obj.encode()).clone();
+            let enc = enc.get_or_insert_with(&encode).clone();
             self.flood_q.entry(i).or_default().push(enc);
         }
     }
@@ -2650,7 +2682,7 @@ impl Ipcp {
             updates.push(o);
         }
         for obj in updates {
-            self.flood_rib(&obj, None);
+            self.flood_rib(&obj.name, None, || obj.encode());
         }
     }
 
@@ -2689,6 +2721,39 @@ impl Ipcp {
             s.cong_backoffs += c.cong_backoffs;
         }
         s
+    }
+}
+
+/// Names of the objects a member is authoritative for, built once per
+/// address instead of once per applied object.
+#[derive(Debug, Default)]
+struct OwnNames {
+    /// `/members/<name>`.
+    member: String,
+    /// [`block_name`] of the member's address.
+    block: String,
+    /// [`Lsa::object_name`] of the member's address.
+    lsa: String,
+}
+
+impl OwnNames {
+    fn new(name: &AppName, addr: Addr) -> Self {
+        OwnNames {
+            member: format!("/members/{}", name.key()),
+            block: block_name(addr),
+            lsa: Lsa::object_name(addr),
+        }
+    }
+}
+
+/// The bytes to re-flood for a received object: its encoding `enc` as
+/// received when that is canonical, else a fresh encoding, so padded
+/// fields are never forwarded.
+fn reflood_bytes(obj: &RibObjectView<'_>, enc: &Bytes) -> Bytes {
+    if obj.is_canonical() {
+        enc.clone()
+    } else {
+        obj.to_object().encode()
     }
 }
 
@@ -3393,7 +3458,7 @@ mod tests {
                 origin: 9,
                 deleted: true,
             };
-            a.apply_and_reflood(tomb, 0);
+            a.apply_and_reflood(&tomb.encode(), 0);
         }
         assert_eq!(a.stats.reasserts, 2);
         let rec = a.rib.get("/members/net.a").expect("reasserted");
@@ -3436,7 +3501,7 @@ mod tests {
             origin: 9,
             deleted: true,
         };
-        a.apply_and_reflood(tomb, 0);
+        a.apply_and_reflood(&tomb.encode(), 0);
         assert_eq!(a.stats.reasserts, 0, "a departed member does not reassert");
         assert!(a.rib.get("/members/net.a").is_none());
     }
@@ -3590,14 +3655,15 @@ mod tests {
         let mut a = mk_scoped("net.a");
         a.bootstrap(1);
         a.apply_and_reflood(
-            RibObject {
+            &RibObject {
                 name: "/dir/web".into(),
                 class: "dir".into(),
                 value: encode_addr(7),
                 version: 1,
                 origin: 7,
                 deleted: false,
-            },
+            }
+            .encode(),
             0,
         );
         assert!(a.rib.get("/dir/web").is_none());
@@ -3632,14 +3698,15 @@ mod tests {
         a.take_out();
         // The owner unregisters: its tombstone floods in on port 0.
         a.apply_and_reflood(
-            RibObject {
+            &RibObject {
                 name: "/dir/web".into(),
                 class: "dir".into(),
                 value: Bytes::new(),
                 version: 2,
                 origin: 7,
                 deleted: true,
-            },
+            }
+            .encode(),
             0,
         );
         assert_eq!(a.stats.dir_invalidations, 1);
@@ -3695,14 +3762,15 @@ mod tests {
         assert_eq!(a.dir_cache.len(), 3);
         // Member 7 departs: its block tombstone arrives over the wire.
         a.apply_and_reflood(
-            RibObject {
+            &RibObject {
                 name: block_name(7),
                 class: BLOCK_CLASS.into(),
                 value: Bytes::new(),
                 version: 2,
                 origin: 7,
                 deleted: true,
-            },
+            }
+            .encode(),
             0,
         );
         assert_eq!(a.stats.dir_invalidations, 2, "both answers pointing at 7 dropped");
@@ -3794,9 +3862,117 @@ mod tests {
             origin: 1, // authored by our own previous incarnation
             deleted: true,
         };
-        a.apply_and_reflood(tomb, 0);
+        a.apply_and_reflood(&tomb.encode(), 0);
         assert_eq!(a.stats.reasserts, 1, "own-origin clobber must be fought");
         let healed = a.rib.get(&Lsa::object_name(1)).expect("LSA reasserted");
         assert_eq!(Lsa::decode(&healed.value).unwrap().neighbors, vec![(2, 1)]);
+    }
+
+    /// A member with two live, enrolled tree neighbors (7 on port 0, 8
+    /// on port 1) and flood batching off, so a re-flood of what
+    /// arrives on port 0 leaves on port 1 at the next `take_out`.
+    fn mk_two_ports() -> Ipcp {
+        let mut a =
+            Ipcp::new(0, DifConfig::new("net").with_flood_batch_ms(0), AppName::new("net.a"));
+        a.bootstrap(1);
+        for (iface, peer) in [(0, 7), (1, 8)] {
+            let i = a.add_n1(N1Kind::Phys { iface, mtu: 1500 });
+            a.n1[i].up = true;
+            a.n1[i].peer_addr = peer;
+            a.n1[i].tree = true;
+        }
+        a.rebuild_peer_index();
+        a.take_out();
+        a
+    }
+
+    /// A RIB batch PDU from neighbor 7 carrying `encs` as they are.
+    fn batch_frame(encs: &[Bytes]) -> Bytes {
+        let payload = MgmtBody::encode_delta_batch("", encs);
+        Pdu::Mgmt(MgmtPdu { dest_addr: 0, src_addr: 7, ttl: 1, payload }).encode()
+    }
+
+    /// The object encodings, byte for byte, of every RIB batch sent on
+    /// port `n1`.
+    fn sent_objects(out: &[IpcpOut], n1: usize) -> Vec<Vec<u8>> {
+        let mut objs = Vec::new();
+        for o in out {
+            let IpcpOut::TxPhys { n1: port, frame, .. } = o else { continue };
+            let Ok(Pdu::Mgmt(m)) = Pdu::decode(frame) else { continue };
+            let cdap = CdapMsg::decode(&m.payload).unwrap();
+            let Some(Ok(batch)) = RibBatchView::of(&cdap) else { continue };
+            if *port == n1 {
+                objs.extend(batch.spans().map(|r| cdap.value[r].to_vec()));
+            }
+        }
+        objs
+    }
+
+    fn member_obj(i: u64) -> RibObject {
+        RibObject {
+            name: format!("/members/net.x{i}"),
+            class: "member".into(),
+            value: encode_addr(100 + i),
+            version: 1,
+            origin: 100 + i,
+            deleted: false,
+        }
+    }
+
+    /// Received objects re-flood as the bytes they arrived in when those
+    /// are the encoder's, and re-encoded when a field was padded.
+    #[test]
+    fn reflood_forwards_canonical_spans_and_reencodes_padded_ones() {
+        let mut a = mk_two_ports();
+        let (o1, o2, o3) = (member_obj(1), member_obj(2), member_obj(3));
+        let padded_version = {
+            let mut w = rina_wire::codec::Writer::new();
+            w.string(&o2.name).string(&o2.class).bytes(&o2.value);
+            w.raw(&[0x81, 0x80, 0x00]).varint(o2.origin).boolean(o2.deleted);
+            w.finish()
+        };
+        let padded_value_len = {
+            let mut w = rina_wire::codec::Writer::new();
+            w.string(&o3.name).string(&o3.class);
+            w.raw(&[0x80 | o3.value.len() as u8, 0x00]).raw(&o3.value);
+            w.varint(o3.version).varint(o3.origin).boolean(o3.deleted);
+            w.finish()
+        };
+        let encs = [o1.encode(), padded_version.clone(), padded_value_len.clone()];
+        a.on_frame(0, batch_frame(&encs), Time::ZERO);
+        assert_eq!(a.stats.decode_errors, 0);
+        for o in [&o1, &o2, &o3] {
+            assert_eq!(a.rib.get(&o.name), Some(o), "padded fields decode to the same object");
+        }
+        let out = a.take_out();
+        let sent = sent_objects(&out, 1);
+        let want: Vec<Vec<u8>> = [&o1, &o2, &o3].iter().map(|o| o.encode().to_vec()).collect();
+        assert_eq!(sent, want, "every re-flooded object is in canonical form");
+        assert!(!sent.contains(&padded_version.to_vec()));
+        assert!(!sent.contains(&padded_value_len.to_vec()));
+        assert!(sent_objects(&out, 0).is_empty(), "nothing floods back to the ingress port");
+        // The same objects again are stale: nothing applies or floods.
+        a.on_frame(0, batch_frame(&encs), Time::ZERO);
+        assert!(sent_objects(&a.take_out(), 1).is_empty());
+    }
+
+    /// One malformed object rejects its whole batch, wherever it sits:
+    /// nothing applies, nothing floods, and the batch counts as one
+    /// decode error.
+    #[test]
+    fn malformed_object_rejects_the_whole_batch() {
+        for k in 0..3 {
+            let mut a = mk_two_ports();
+            let before = (a.rib.object_count(), a.rib.digest());
+            let mut encs: Vec<Bytes> = (0..3).map(|i| member_obj(i).encode()).collect();
+            // A `deleted` flag of 2 is not a boolean.
+            let mut bad = encs[k].to_vec();
+            *bad.last_mut().unwrap() = 2;
+            encs[k] = Bytes::from(bad);
+            a.on_frame(0, batch_frame(&encs), Time::ZERO);
+            assert_eq!(a.stats.decode_errors, 1, "object {k}");
+            assert_eq!((a.rib.object_count(), a.rib.digest()), before, "object {k}");
+            assert!(sent_objects(&a.take_out(), 1).is_empty(), "object {k}");
+        }
     }
 }

@@ -8,9 +8,10 @@
 use crate::naming::AppName;
 use crate::qos::QosSpec;
 use bytes::Bytes;
-use rina_rib::{DigestTable, ObjVer, RibObject};
+use rina_rib::{DigestTable, ObjVer, RibObject, RibObjectView};
 use rina_wire::codec::{Reader, Writer};
 use rina_wire::{Addr, CdapMsg, CepId, OpCode, WireError};
+use std::ops::Range;
 
 /// Object class names used on the wire.
 mod class {
@@ -377,6 +378,54 @@ impl MgmtBody {
     }
 }
 
+/// Borrowed view of the object batch a received
+/// [`MgmtBody::RibDeltaResponse`] carries, validated whole before
+/// anything is applied: the receive path walks it in place instead of
+/// decoding every object up front.
+#[derive(Debug)]
+pub(crate) struct RibBatchView<'a> {
+    /// The CDAP value.
+    value: &'a [u8],
+    /// Offset of the first object's length prefix.
+    start: usize,
+    /// Number of objects.
+    count: u64,
+}
+
+impl<'a> RibBatchView<'a> {
+    /// The batch of `m` if it is a [`MgmtBody::RibDeltaResponse`]
+    /// (`None` for any other message).
+    pub(crate) fn of(m: &'a CdapMsg) -> Option<Result<Self, WireError>> {
+        (m.op == OpCode::ReadR && m.obj_class == class::RIB_SYNC).then(|| Self::peek(&m.value))
+    }
+
+    /// Validate a batch value: every object must pass
+    /// [`RibObjectView::peek`] and nothing may trail. Accepts exactly
+    /// what [`MgmtBody::from_cdap`] accepts, so one malformed object
+    /// rejects the whole batch.
+    pub(crate) fn peek(value: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(value);
+        let count = r.varint()?;
+        let start = value.len() - r.remaining();
+        for _ in 0..count {
+            RibObjectView::peek(r.bytes()?)?;
+        }
+        r.expect_end()?;
+        Ok(RibBatchView { value, start, count })
+    }
+
+    /// Byte ranges of the encoded objects within the value, in order.
+    pub(crate) fn spans(&self) -> impl Iterator<Item = Range<usize>> + 'a {
+        let (value, start) = (self.value, self.start);
+        let mut r = Reader::new(value.get(start..).unwrap_or_default());
+        (0..self.count).map_while(move |_| {
+            let len = r.bytes().ok()?.len();
+            let end = value.len() - r.remaining();
+            Some(end - len..end)
+        })
+    }
+}
+
 fn cep(v: u64) -> Result<CepId, WireError> {
     CepId::try_from(v).map_err(|_| WireError::Invalid("cep id"))
 }
@@ -638,5 +687,67 @@ mod tests {
     fn unknown_combination_rejected() {
         let m = CdapMsg::request(OpCode::Stop, 1, "bogus", "/x", Bytes::new());
         assert!(MgmtBody::from_cdap(&m).is_err());
+    }
+
+    proptest::proptest! {
+        /// The batch peek accepts exactly the values the typed decoder
+        /// accepts, and its spans are the same objects, in order: on
+        /// encoder output, truncated, with one byte changed, and with
+        /// an extra object tacked on unannounced.
+        #[test]
+        fn prop_batch_view_agrees_with_from_cdap(
+            n in 0usize..4,
+            cut in proptest::prelude::any::<usize>(),
+            flip_at in proptest::prelude::any::<usize>(),
+            flip_to in proptest::prelude::any::<u8>(),
+        ) {
+            let objs: Vec<RibObject> = (0..n as u64)
+                .map(|i| RibObject {
+                    name: format!("/lsa/{i}"),
+                    class: "lsa".into(),
+                    value: Bytes::from(vec![i as u8; i as usize]),
+                    version: i + 1,
+                    origin: i,
+                    deleted: i == 2,
+                })
+                .collect();
+            let encs: Vec<Bytes> = objs.iter().map(|o| o.encode()).collect();
+            let good = CdapMsg::decode(&MgmtBody::encode_delta_batch("/lsa", &encs)).unwrap();
+            let mut variants = vec![good.value.to_vec()];
+            variants.push(good.value[..cut % (good.value.len() + 1)].to_vec());
+            let mut flipped = good.value.to_vec();
+            let i = flip_at % flipped.len();
+            flipped[i] = flip_to;
+            variants.push(flipped);
+            let mut extra = good.value.to_vec();
+            extra.extend_from_slice(&good.value);
+            variants.push(extra);
+            for value in variants {
+                let m = CdapMsg { value: Bytes::from(value), ..good.clone() };
+                let typed = MgmtBody::from_cdap(&m);
+                let batch = RibBatchView::of(&m).expect("a delta response");
+                proptest::prop_assert_eq!(batch.is_ok(), typed.is_ok());
+                if let (Ok(batch), Ok(MgmtBody::RibDeltaResponse { objects, .. })) = (batch, typed) {
+                    let viewed: Vec<RibObject> = batch
+                        .spans()
+                        .map(|r| RibObject::decode(&m.value[r]).unwrap())
+                        .collect();
+                    proptest::prop_assert_eq!(viewed, objects);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_view_ignores_other_messages() {
+        let hello = MgmtBody::Hello { name: AppName::new("a"), addr: 1, digests: table() };
+        assert!(RibBatchView::of(&hello.into_cdap(0, 0)).is_none());
+        let req = MgmtBody::RibDeltaRequest {
+            subtree: "/lsa".into(),
+            from: String::new(),
+            upto: String::new(),
+            summary: vec![],
+        };
+        assert!(RibBatchView::of(&req.into_cdap(0, 0)).is_none());
     }
 }

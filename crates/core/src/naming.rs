@@ -44,6 +44,16 @@ impl AppName {
         }
     }
 
+    /// Whether `key` equals [`AppName::key`], without building it.
+    pub(crate) fn has_key(&self, key: &str) -> bool {
+        if self.instance.is_empty() {
+            key == self.process
+        } else {
+            key.strip_prefix(self.process.as_str()).and_then(|r| r.strip_prefix('/'))
+                == Some(self.instance.as_str())
+        }
+    }
+
     /// Parse the canonical form produced by [`AppName::key`].
     pub fn from_key(key: &str) -> Self {
         match key.split_once('/') {
@@ -97,6 +107,11 @@ mod tests {
         let b = AppName::with_instance("web", "2");
         assert_eq!(b.key(), "web/2");
         assert_eq!(AppName::from_key("web/2"), b);
+        // `has_key` agrees with comparing against `key()`.
+        for k in ["web", "web/2", "web/", "web/22", "we", "web2", "/2", ""] {
+            assert_eq!(a.has_key(k), a.key() == k, "{k}");
+            assert_eq!(b.has_key(k), b.key() == k, "{k}");
+        }
     }
 
     #[test]

@@ -55,6 +55,13 @@ fn w1_read_side_surface_fires_and_accepts_view_peek() {
 }
 
 #[test]
+fn w1_accepts_rib_object_view_peek_and_flags_owned_peek() {
+    let fs = wire::check_w1("w1_rib_peek.rs", &toks(include_str!("fixtures/w1_rib_peek.rs")));
+    let keys: Vec<&str> = fs.iter().map(|f| f.key.as_str()).collect();
+    assert_eq!(keys, ["W1|w1_rib_peek.rs|RibObject::peek|peek-on-non-view"], "{keys:?}");
+}
+
+#[test]
 fn r1_fires_on_each_panic_kind_and_accepts_error_returns() {
     let bad = panics::check_r1("r1_bad.rs", &toks(include_str!("fixtures/r1_bad.rs")));
     let kinds: Vec<&str> =

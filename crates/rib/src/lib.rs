@@ -30,7 +30,9 @@
 //! process (routing recomputation, directory changes) and dissemination
 //! items for the management task to forward; the `rina` crate moves them.
 //! Hot paths that react to freshness directly can apply without event
-//! bookkeeping via [`Rib::apply_remote_silent`].
+//! bookkeeping via [`Rib::apply_remote_silent`], or straight from a
+//! receive buffer via [`Rib::apply_remote_view`] on a [`RibObjectView`],
+//! which drops a stale version before allocating anything.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -40,6 +42,7 @@ use bytes::Bytes;
 use rina_wire::codec::{Reader, Writer};
 use rina_wire::WireError;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound;
 
 /// One replicated object. Ordering of versions: `(version, origin)`
 /// lexicographic, so concurrent writes by different members resolve
@@ -87,9 +90,120 @@ impl RibObject {
         r.expect_end()?;
         Ok(RibObject { name, class, value, version, origin, deleted })
     }
+}
 
-    fn newer_than(&self, other: &RibObject) -> bool {
-        (self.version, self.origin) > (other.version, other.origin)
+/// Borrowed, read-only view of an encoded [`RibObject`]: the receive
+/// path's peek. It reads every field in place, so a received object can
+/// be checked for freshness, and a stale one dropped, before anything is
+/// allocated. [`RibObjectView::to_object`] is the one copy a fresh
+/// object pays.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RibObjectView<'a> {
+    /// Path-style instance name.
+    pub name: &'a str,
+    /// Object class.
+    pub class: &'a str,
+    /// Encoded value (empty for tombstones).
+    pub value: &'a [u8],
+    /// Monotonic per-name version.
+    pub version: u64,
+    /// DIF-internal address of the writing member.
+    pub origin: u64,
+    /// True if this version deletes the object.
+    pub deleted: bool,
+    /// Length of the encoding this view was peeked from.
+    wire_len: usize,
+}
+
+impl<'a> RibObjectView<'a> {
+    /// Peek an encoded object. Accepts exactly the buffers
+    /// [`RibObject::decode`] accepts, with the same error, and never
+    /// panics on arbitrary bytes.
+    pub fn peek(buf: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(buf);
+        let name = r.string()?;
+        let class = r.string()?;
+        let value = r.bytes()?;
+        let version = r.varint()?;
+        let origin = r.varint()?;
+        let deleted = r.boolean()?;
+        r.expect_end()?;
+        Ok(RibObjectView { name, class, value, version, origin, deleted, wire_len: buf.len() })
+    }
+
+    /// Copy out into an owned object. The value is copied, so a stored
+    /// object never pins the buffer it was received in.
+    pub fn to_object(&self) -> RibObject {
+        RibObject {
+            name: self.name.to_string(),
+            class: self.class.to_string(),
+            value: Bytes::copy_from_slice(self.value),
+            version: self.version,
+            origin: self.origin,
+            deleted: self.deleted,
+        }
+    }
+
+    /// Whether the peeked bytes are exactly what [`RibObject::encode`]
+    /// writes for this object, so they may be forwarded verbatim. The
+    /// reader accepts padded varints, which only ever lengthen an
+    /// encoding: equal length to the canonical form means equal bytes.
+    pub fn is_canonical(&self) -> bool {
+        let field = |n: usize| varint_len(n as u64) + n;
+        let canonical = field(self.name.len())
+            + field(self.class.len())
+            + field(self.value.len())
+            + varint_len(self.version)
+            + varint_len(self.origin)
+            + 1;
+        self.wire_len == canonical
+    }
+}
+
+/// Bytes [`Writer::varint`] takes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// An object version on its way into [`Rib::store`]: owned (local
+/// writes, decoded objects) or borrowed from a receive buffer.
+trait Incoming {
+    /// `(name, version, origin, deleted)`.
+    fn key(&self) -> (&str, u64, u64, bool);
+    /// The owned object, for a name not stored yet.
+    fn into_object(self) -> RibObject;
+    /// Overwrite `cur`, an older version of the same name, in place.
+    fn replace(self, cur: &mut RibObject);
+}
+
+impl Incoming for RibObject {
+    fn key(&self) -> (&str, u64, u64, bool) {
+        (&self.name, self.version, self.origin, self.deleted)
+    }
+    fn into_object(self) -> RibObject {
+        self
+    }
+    fn replace(self, cur: &mut RibObject) {
+        *cur = self;
+    }
+}
+
+impl Incoming for &RibObjectView<'_> {
+    fn key(&self) -> (&str, u64, u64, bool) {
+        (self.name, self.version, self.origin, self.deleted)
+    }
+    fn into_object(self) -> RibObject {
+        self.to_object()
+    }
+    fn replace(self, cur: &mut RibObject) {
+        // The name is equal by construction; the class rarely changes.
+        if cur.class != self.class {
+            cur.class = self.class.to_string();
+        }
+        cur.value = Bytes::copy_from_slice(self.value);
+        cur.version = self.version;
+        cur.origin = self.origin;
+        cur.deleted = self.deleted;
     }
 }
 
@@ -252,26 +366,33 @@ impl DigestTable {
     }
 }
 
-/// Order-independent fingerprint of one object version, XOR-aggregated
-/// into [`Rib::digest`]. Any version change changes it (versions are
-/// monotonic per name), so two RIBs with equal `(object_count, digest)`
-/// hold the same object versions with overwhelming probability — the
-/// basis of hello-driven anti-entropy.
-fn obj_fingerprint(o: &RibObject) -> u64 {
+/// FNV-1a of an object name: the name part of [`fingerprint`], hashed
+/// once per store and shared by the old and the new version.
+fn name_hash(name: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in o.name.bytes() {
+    for b in name.bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
+    h
+}
+
+/// Order-independent fingerprint of one object version (its name's
+/// [`name_hash`] and version coordinates), XOR-aggregated into
+/// [`Rib::digest`]. Any version change changes it (versions are
+/// monotonic per name), so two RIBs with equal `(object_count, digest)`
+/// hold the same object versions with overwhelming probability — the
+/// basis of hello-driven anti-entropy.
+fn fingerprint(name_h: u64, version: u64, origin: u64, deleted: bool) -> u64 {
     // Nonlinear mixing (splitmix64 finalizer) entangles version and
     // origin with the name hash. A plain XOR of `version × constant`
     // would make the digest *difference* of a version bump independent
     // of the name — two objects each one version stale then cancel in
     // the XOR aggregate, and anti-entropy would declare two diverged
     // RIBs in sync (seen in practice on lossy 22-member lines).
-    h = mix(h ^ o.version.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    h = mix(h ^ o.origin.rotate_left(32));
-    if o.deleted {
+    let mut h = mix(name_h ^ version.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    h = mix(h ^ origin.rotate_left(32));
+    if deleted {
         h = !h;
     }
     h
@@ -286,6 +407,12 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Whether `name` lies in the delta-request chunk `[from, upto)`, where
+/// an empty bound is unbounded.
+fn in_range(name: &str, from: &str, upto: &str) -> bool {
+    (from.is_empty() || name >= from) && (upto.is_empty() || name < upto)
+}
+
 /// The Resource Information Base of one IPC process.
 #[derive(Debug, Default)]
 pub struct Rib {
@@ -295,7 +422,7 @@ pub struct Rib {
     events: VecDeque<RibEvent>,
     /// Objects (new versions) to disseminate to neighbors.
     outbox: VecDeque<RibObject>,
-    /// XOR of [`obj_fingerprint`] over every stored object (tombstones
+    /// XOR of [`fingerprint`] over every stored object (tombstones
     /// included), maintained incrementally.
     digest: u64,
     /// Per-subtree `(count, digest)`, maintained incrementally alongside
@@ -361,7 +488,7 @@ impl Rib {
     /// Write (create or update) an object authored locally. The new version
     /// supersedes any existing one and is queued for dissemination.
     pub fn write_local(&mut self, name: &str, class: &str, value: Bytes) {
-        let version = self.objects.get(name).map(|o| o.version + 1).unwrap_or(1);
+        let version = self.objects.get(name).map_or(1, |o| o.version + 1);
         let obj = RibObject {
             name: name.to_string(),
             class: class.to_string(),
@@ -370,7 +497,8 @@ impl Rib {
             origin: self.origin,
             deleted: false,
         };
-        self.store(obj.clone());
+        // A bumped version is always newer, so the store never declines.
+        let Some(obj) = self.store(obj, RibObject::clone) else { return };
         self.events.push_back(RibEvent::Upserted(obj.clone()));
         if !self.is_local_subtree(subtree_of(&obj.name)) {
             self.outbox.push_back(obj);
@@ -410,39 +538,66 @@ impl Rib {
         self.watch_q.retain(|o| live.iter().any(|p| o.name.starts_with(p.as_str())));
     }
 
-    /// Insert `obj`, keeping the incremental digests (whole-RIB and
-    /// per-subtree) in sync.
-    fn store(&mut self, obj: RibObject) {
-        if self.watch_prefixes.iter().any(|p| obj.name.starts_with(p.as_str())) {
-            self.watch_q.push_back(obj.clone());
+    /// The single store choke point. Stores `obj` if it is newer than
+    /// the stored version of its name (or the name is new), keeping the
+    /// incremental digests (whole-RIB and per-subtree) and the watch
+    /// queue in sync, and returns `then` of the stored object; a stale
+    /// `obj` changes nothing and is dropped unconverted. One object-map
+    /// lookup decides freshness, and a known name is updated in place:
+    /// this runs once per received object, millions of times in a big
+    /// assembly.
+    fn store<I: Incoming, R>(&mut self, obj: I, then: impl FnOnce(&RibObject) -> R) -> Option<R> {
+        let (name, version, origin, deleted) = obj.key();
+        let name_h = name_hash(name);
+        let watched = self.watch_prefixes.iter().any(|p| name.starts_with(p.as_str()));
+        let mut xor = fingerprint(name_h, version, origin, deleted);
+        let (stored, is_new) = match self.objects.get_mut(name) {
+            Some(cur) => {
+                if (version, origin) <= (cur.version, cur.origin) {
+                    return None;
+                }
+                xor ^= fingerprint(name_h, cur.version, cur.origin, cur.deleted);
+                obj.replace(cur);
+                (cur, false)
+            }
+            None => {
+                let obj = obj.into_object();
+                (self.objects.entry(obj.name.clone()).or_insert(obj), true)
+            }
+        };
+        self.digest ^= xor;
+        let st = subtree_of(&stored.name);
+        // get_mut before insert: the common case (subtree exists) must
+        // not allocate an owned key per store.
+        match self.subtrees.get_mut(st) {
+            Some(e) => {
+                e.0 += is_new as u64;
+                e.1 ^= xor;
+            }
+            None => {
+                self.subtrees.insert(st.to_string(), (1, xor));
+            }
         }
-        let st = subtree_of(&obj.name);
-        // get_mut-then-insert instead of the entry API: the common case
-        // (subtree exists) must not allocate an owned key per store —
-        // this runs once per applied object, millions of times in a big
-        // assembly.
-        if self.subtrees.get_mut(st).is_none() {
-            self.subtrees.insert(st.to_string(), (0, 0));
+        if watched {
+            self.watch_q.push_back(stored.clone());
         }
-        let entry = self.subtrees.get_mut(st).expect("just ensured");
-        if let Some(old) = self.objects.get(&obj.name) {
-            let f = obj_fingerprint(old);
-            self.digest ^= f;
-            entry.1 ^= f;
-        } else {
-            entry.0 += 1;
-        }
-        let f = obj_fingerprint(&obj);
-        self.digest ^= f;
-        entry.1 ^= f;
-        self.objects.insert(obj.name.clone(), obj);
+        Some(then(stored))
     }
 
-    /// All stored objects (tombstones included) in `subtree`, name order.
-    fn subtree_objects<'a>(&'a self, subtree: &'a str) -> impl Iterator<Item = &'a RibObject> + 'a {
+    /// All stored objects (tombstones included) in `subtree` with names
+    /// in the chunk `[from, upto)` (see [`in_range`]), name order.
+    fn subtree_objects<'a>(
+        &'a self,
+        subtree: &'a str,
+        from: &'a str,
+        upto: &'a str,
+    ) -> impl Iterator<Item = &'a RibObject> + 'a {
+        // A subtree's names are one contiguous run of the name order.
         self.objects
-            .range(subtree.to_string()..)
-            .take_while(move |(k, _)| k.starts_with(subtree))
+            .range::<str, _>((Bound::Included(subtree.max(from)), Bound::Unbounded))
+            .take_while(move |(k, _)| {
+                k.starts_with(subtree) && (upto.is_empty() || k.as_str() < upto)
+            })
             .filter(move |(k, _)| subtree_of(k) == subtree)
             .map(|(_, v)| v)
     }
@@ -479,7 +634,7 @@ impl Rib {
             origin: self.origin,
             deleted: true,
         };
-        self.store(obj.clone());
+        let Some(obj) = self.store(obj, RibObject::clone) else { return };
         self.events.push_back(RibEvent::Deleted(obj.clone()));
         self.outbox.push_back(obj);
     }
@@ -488,16 +643,9 @@ impl Rib {
     /// than local state (caller should then re-flood it to other
     /// neighbors); `false` if stale or identical.
     pub fn apply_remote(&mut self, obj: RibObject) -> bool {
-        match self.objects.get(&obj.name) {
-            Some(cur) if !obj.newer_than(cur) => return false,
-            _ => {}
-        }
-        let ev = if obj.deleted {
-            RibEvent::Deleted(obj.clone())
-        } else {
-            RibEvent::Upserted(obj.clone())
-        };
-        self.store(obj);
+        let Some(stored) = self.store(obj, RibObject::clone) else { return false };
+        let ev =
+            if stored.deleted { RibEvent::Deleted(stored) } else { RibEvent::Upserted(stored) };
         self.events.push_back(ev);
         true
     }
@@ -508,12 +656,15 @@ impl Rib {
     /// every applied object, which matters when a joiner absorbs a
     /// multi-thousand-object sync stream.
     pub fn apply_remote_silent(&mut self, obj: RibObject) -> bool {
-        match self.objects.get(&obj.name) {
-            Some(cur) if !obj.newer_than(cur) => return false,
-            _ => {}
-        }
-        self.store(obj);
-        true
+        self.store(obj, |_| ()).is_some()
+    }
+
+    /// [`Rib::apply_remote_silent`] straight from a receive buffer: one
+    /// lookup decides freshness, a stale version is dropped without
+    /// allocating, and a fresh one is copied out of the buffer exactly
+    /// once (in place when the name is already stored).
+    pub fn apply_remote_view(&mut self, view: &RibObjectView<'_>) -> bool {
+        self.store(view, |_| ()).is_some()
     }
 
     /// Current value of a live (non-deleted) object.
@@ -524,7 +675,7 @@ impl Rib {
     /// All live objects whose names start with `prefix`, in name order.
     pub fn iter_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a RibObject> + 'a {
         self.objects
-            .range(prefix.to_string()..)
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(prefix))
             .map(|(_, v)| v)
             .filter(|o| !o.deleted)
@@ -607,7 +758,7 @@ impl Rib {
         if self.is_local_subtree(subtree) {
             return Vec::new();
         }
-        self.subtree_objects(subtree)
+        self.subtree_objects(subtree, "", "")
             .map(|o| ObjVer { name: o.name.clone(), version: o.version, origin: o.origin })
             .collect()
     }
@@ -630,26 +781,78 @@ impl Rib {
             // peer's summary of it proves nothing we should pull.
             return (Vec::new(), false);
         }
+        // Summaries are built in name order; anything else (a malformed
+        // or hostile peer) takes the general path.
+        if summary.windows(2).all(|w| w[0].name < w[1].name) {
+            self.delta_merge(subtree, from, upto, summary)
+        } else {
+            self.delta_by_map(subtree, from, upto, summary)
+        }
+    }
+
+    /// [`Rib::delta_for`] for a strictly name-ordered summary: one merge
+    /// walk of the summary against the subtree, no index built and no
+    /// second lookup for names both sides hold.
+    fn delta_merge(
+        &self,
+        subtree: &str,
+        from: &str,
+        upto: &str,
+        summary: &[ObjVer],
+    ) -> (Vec<RibObject>, bool) {
+        let mut send = Vec::new();
+        let mut behind = false;
+        let mut theirs = summary.iter().filter(|v| in_range(&v.name, from, upto)).peekable();
+        for o in self.subtree_objects(subtree, from, upto) {
+            // Their names that sort before ours are names this subtree
+            // walk does not hold.
+            while let Some(v) = theirs.next_if(|v| v.name < o.name) {
+                behind = behind || self.peer_newer(v);
+            }
+            match theirs.next_if(|v| v.name == o.name) {
+                Some(v) => {
+                    let (t, ours) = ((v.version, v.origin), (o.version, o.origin));
+                    if t < ours {
+                        send.push(o.clone());
+                    }
+                    behind = behind || t > ours;
+                }
+                None => send.push(o.clone()),
+            }
+        }
+        for v in theirs {
+            behind = behind || self.peer_newer(v);
+        }
+        (send, behind)
+    }
+
+    /// [`Rib::delta_for`] for any summary: index it by name (the last
+    /// duplicate wins), then look each of its names up.
+    fn delta_by_map(
+        &self,
+        subtree: &str,
+        from: &str,
+        upto: &str,
+        summary: &[ObjVer],
+    ) -> (Vec<RibObject>, bool) {
         let theirs: BTreeMap<&str, (u64, u64)> =
             summary.iter().map(|v| (v.name.as_str(), (v.version, v.origin))).collect();
-        let in_range =
-            |name: &str| (from.is_empty() || name >= from) && (upto.is_empty() || name < upto);
         let mut send = Vec::new();
-        for o in self.subtree_objects(subtree) {
-            if !in_range(&o.name) {
-                continue;
-            }
+        for o in self.subtree_objects(subtree, from, upto) {
             match theirs.get(o.name.as_str()) {
                 Some(&(v, org)) if (v, org) >= (o.version, o.origin) => {}
                 _ => send.push(o.clone()),
             }
         }
         let behind =
-            summary.iter().filter(|v| in_range(&v.name)).any(|v| match self.objects.get(&v.name) {
-                Some(o) => (v.version, v.origin) > (o.version, o.origin),
-                None => true,
-            });
+            summary.iter().filter(|v| in_range(&v.name, from, upto)).any(|v| self.peer_newer(v));
         (send, behind)
+    }
+
+    /// Whether a summary entry proves the peer holds a version of its
+    /// name newer than ours (or one we lack altogether).
+    fn peer_newer(&self, v: &ObjVer) -> bool {
+        self.objects.get(&v.name).is_none_or(|o| (v.version, v.origin) > (o.version, o.origin))
     }
 
     /// True when no live objects exist.
@@ -1138,7 +1341,288 @@ mod tests {
         panic!("delta sync did not converge");
     }
 
+    #[test]
+    fn view_of_encoder_output_is_canonical() {
+        let o = RibObject {
+            name: "/lsa/300".into(),
+            class: "lsa".into(),
+            value: Bytes::from(vec![7u8; 200]),
+            version: 1 << 40,
+            origin: 300,
+            deleted: false,
+        };
+        let enc = o.encode();
+        let v = RibObjectView::peek(&enc).unwrap();
+        assert!(v.is_canonical());
+        assert_eq!(v.to_object(), o);
+    }
+
+    /// The reader accepts padded varints, in a length prefix or a
+    /// number: such an encoding still peeks, but it is not the
+    /// encoder's, so it must never be forwarded as received.
+    #[test]
+    fn padded_encodings_peek_but_are_not_canonical() {
+        let o = RibObject {
+            name: "/lsa/9".into(),
+            class: "lsa".into(),
+            value: Bytes::from_static(b"\x01\x02"),
+            version: 5,
+            origin: 9,
+            deleted: false,
+        };
+        let padded_version = {
+            let mut w = Writer::new();
+            w.string(&o.name).string(&o.class).bytes(&o.value);
+            w.raw(&[0x85, 0x00]).varint(o.origin).boolean(o.deleted);
+            w.finish()
+        };
+        let padded_name_len = {
+            let mut w = Writer::new();
+            w.raw(&[0x80 | o.name.len() as u8, 0x00]).raw(o.name.as_bytes());
+            w.string(&o.class).bytes(&o.value).varint(o.version).varint(o.origin);
+            w.boolean(o.deleted);
+            w.finish()
+        };
+        for enc in [padded_version, padded_name_len] {
+            let v = RibObjectView::peek(&enc).unwrap();
+            assert_eq!(v.to_object(), o);
+            assert!(!v.is_canonical(), "{:?}", enc.as_ref());
+            assert_ne!(enc.as_ref(), o.encode().as_ref());
+        }
+    }
+
+    #[test]
+    fn view_apply_updates_in_place_and_skips_stale() {
+        let mut r = Rib::new(1);
+        r.watch_prefix("/lsa/");
+        let o = |version: u64, class: &str, value: &'static [u8]| RibObject {
+            name: "/lsa/9".into(),
+            class: class.into(),
+            value: Bytes::from_static(value),
+            version,
+            origin: 9,
+            deleted: false,
+        };
+        for (obj, fresh) in [
+            (o(2, "lsa", b"a"), true),
+            (o(2, "lsa", b"b"), false),
+            (o(1, "lsa", b"c"), false),
+            (o(3, "other", b"d"), true),
+        ] {
+            let enc = obj.encode();
+            assert_eq!(r.apply_remote_view(&RibObjectView::peek(&enc).unwrap()), fresh);
+        }
+        assert_eq!(r.get("/lsa/9"), Some(&o(3, "other", b"d")));
+        assert_eq!(r.object_count(), 1);
+        let seen: Vec<u64> = std::iter::from_fn(|| r.poll_watch()).map(|o| o.version).collect();
+        assert_eq!(seen, vec![2, 3], "stale versions never reach the watch queue");
+    }
+
+    /// From-scratch `(digest, table, count)` over `iter_all`.
+    fn recompute(r: &Rib) -> (u64, DigestTable, usize) {
+        let mut digest = 0;
+        let mut per: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for o in r.iter_all() {
+            let f = fingerprint(name_hash(&o.name), o.version, o.origin, o.deleted);
+            digest ^= f;
+            let e = per.entry(subtree_of(&o.name)).or_default();
+            e.0 += 1;
+            e.1 ^= f;
+        }
+        let table = DigestTable::from_entries(
+            per.into_iter()
+                .filter(|(s, _)| !r.is_local_subtree(s))
+                .map(|(s, (c, d))| (s.to_string(), c, d))
+                .collect(),
+        );
+        (digest, table, r.iter_all().count())
+    }
+
+    /// [`Rib::delta_for`] from its definition, by scanning every stored
+    /// object (where the summary names one object twice, its last entry
+    /// counts).
+    fn delta_by_definition(
+        rib: &Rib,
+        subtree: &str,
+        from: &str,
+        upto: &str,
+        summary: &[ObjVer],
+    ) -> (Vec<RibObject>, bool) {
+        let theirs = |name: &str| {
+            summary.iter().rev().find(|v| v.name == name).map(|v| (v.version, v.origin))
+        };
+        let send = rib
+            .iter_all()
+            .filter(|o| subtree_of(&o.name) == subtree && in_range(&o.name, from, upto))
+            .filter(|o| theirs(&o.name).is_none_or(|t| t < (o.version, o.origin)))
+            .cloned()
+            .collect();
+        let behind = summary.iter().filter(|v| in_range(&v.name, from, upto)).any(|v| {
+            rib.iter_all()
+                .find(|o| o.name == v.name)
+                .is_none_or(|o| (v.version, v.origin) > (o.version, o.origin))
+        });
+        (send, behind)
+    }
+
+    /// Names around the `/lsa` subtree's edges: the subtree root, names
+    /// sorting just before and after its members, other subtrees.
+    const EDGE_NAMES: [&str; 12] = [
+        "/lsa",
+        "/lsa/1",
+        "/lsa/10",
+        "/lsa/2",
+        "/lsa/3",
+        "/lsa/4/x",
+        "/lsa-x",
+        "/lsab/1",
+        "/dir/a",
+        "/blocks/1",
+        "/m",
+        "",
+    ];
+
     proptest! {
+        /// The peek accepts exactly what the decoder accepts, with the
+        /// same fields and the same error: on random bytes, on truncated
+        /// encoder output, and on encoder output with one byte changed.
+        #[test]
+        fn prop_view_peek_agrees_with_decode(
+            noise in proptest::collection::vec(any::<u8>(), 0..48),
+            name in "[a-z/]{0,12}",
+            value in proptest::collection::vec(any::<u8>(), 0..16),
+            version in any::<u64>(),
+            deleted in any::<bool>(),
+            cut in any::<usize>(),
+            flip_at in any::<usize>(),
+            flip_to in any::<u8>(),
+        ) {
+            let o = RibObject {
+                name, class: "c".into(), value: Bytes::from(value), version, origin: 3, deleted,
+            };
+            let enc = o.encode().to_vec();
+            let truncated = enc[..cut % (enc.len() + 1)].to_vec();
+            let mut flipped = enc.clone();
+            let i = flip_at % flipped.len();
+            flipped[i] = flip_to;
+            for buf in [noise, enc, truncated, flipped] {
+                let peeked = RibObjectView::peek(&buf);
+                prop_assert_eq!(peeked.map(|v| v.to_object()), RibObject::decode(&buf));
+                if let Ok(v) = peeked {
+                    // Canonical exactly when re-encoding reproduces the bytes.
+                    prop_assert_eq!(v.is_canonical(), v.to_object().encode().as_ref() == &buf[..]);
+                }
+            }
+        }
+
+        /// The merge walk and the map path answer every summary alike:
+        /// sorted, with duplicates, shuffled, with names outside the
+        /// subtree, under any chunk bounds.
+        #[test]
+        fn prop_delta_merge_equals_map(seed in any::<u64>()) {
+            use rand::seq::SliceRandom;
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let pick = |rng: &mut rand::rngs::SmallRng| EDGE_NAMES[rng.gen_range(0..EDGE_NAMES.len())];
+            let mut rib = Rib::new(1);
+            for _ in 0..rng.gen_range(0..16usize) {
+                let o = RibObject {
+                    name: pick(&mut rng).into(),
+                    class: "c".into(),
+                    value: Bytes::new(),
+                    version: rng.gen_range(1..4u64),
+                    origin: rng.gen_range(1..4u64),
+                    deleted: rng.gen_range(0..4u32) == 0,
+                };
+                rib.apply_remote(o);
+            }
+            let mut summary: Vec<ObjVer> = (0..rng.gen_range(0..12usize))
+                .map(|_| ObjVer {
+                    name: pick(&mut rng).into(),
+                    version: rng.gen_range(0..5u64),
+                    origin: rng.gen_range(0..5u64),
+                })
+                .collect();
+            let subtree = ["/lsa", "/lsa", "/dir", "/m"][rng.gen_range(0..4usize)];
+            let from = if rng.gen_range(0..2u32) == 0 { "" } else { pick(&mut rng) };
+            let upto = if rng.gen_range(0..2u32) == 0 { "" } else { pick(&mut rng) };
+            let map = |s: &[ObjVer]| rib.delta_by_map(subtree, from, upto, s);
+            // Shuffled (usually unsorted, often with duplicates).
+            summary.shuffle(&mut rng);
+            prop_assert_eq!(map(&summary), delta_by_definition(&rib, subtree, from, upto, &summary));
+            prop_assert_eq!(rib.delta_for(subtree, from, upto, &summary), map(&summary));
+            // Sorted with duplicates kept.
+            summary.sort_by(|a, b| a.name.cmp(&b.name));
+            prop_assert_eq!(map(&summary), delta_by_definition(&rib, subtree, from, upto, &summary));
+            prop_assert_eq!(rib.delta_for(subtree, from, upto, &summary), map(&summary));
+            // Strictly sorted: the merge walk itself.
+            summary.dedup_by(|a, b| a.name == b.name);
+            prop_assert_eq!(map(&summary), delta_by_definition(&rib, subtree, from, upto, &summary));
+            prop_assert_eq!(rib.delta_merge(subtree, from, upto, &summary), map(&summary));
+            prop_assert_eq!(rib.delta_for(subtree, from, upto, &summary), map(&summary));
+        }
+
+        /// Every path into the store keeps the incremental digests equal
+        /// to a from-scratch recomputation, the watch queue equal to the
+        /// stored versions under watched prefixes in application order,
+        /// and the view-based apply equal to the owned one.
+        #[test]
+        fn prop_store_paths_keep_digests_and_watch_exact(seed in any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let names = ["/lsa/1", "/lsa/2", "/blocks/1", "/dir/a", "/dir/b", "/m"];
+            let watched = ["/lsa/", "/blocks/"];
+            let (mut a, mut b) = (Rib::new(2), Rib::new(2));
+            for p in watched {
+                a.watch_prefix(p);
+            }
+            let mut expect_watch = Vec::new();
+            for _ in 0..48 {
+                let name = names[rng.gen_range(0..names.len())];
+                let remote = RibObject {
+                    name: name.into(),
+                    class: ["c", "lsa"][rng.gen_range(0..2usize)].into(),
+                    value: Bytes::from(vec![rng.gen_range(0..=255u8); rng.gen_range(0..3usize)]),
+                    version: rng.gen_range(1..8u64),
+                    origin: rng.gen_range(1..4u64),
+                    deleted: rng.gen_range(0..4u32) == 0,
+                };
+                let stored = match rng.gen_range(0..5u32) {
+                    0 => {
+                        a.write_local(name, "c", remote.value.clone());
+                        b.write_local(name, "c", remote.value.clone());
+                        true
+                    }
+                    1 => {
+                        let live = a.get(name).is_some();
+                        a.delete_local(name);
+                        b.delete_local(name);
+                        live
+                    }
+                    k => {
+                        let enc = remote.encode();
+                        let fresh = match k {
+                            2 => a.apply_remote(remote.clone()),
+                            3 => a.apply_remote_silent(remote.clone()),
+                            _ => a.apply_remote_view(&RibObjectView::peek(&enc).unwrap()),
+                        };
+                        prop_assert_eq!(fresh, b.apply_remote_silent(remote));
+                        fresh
+                    }
+                };
+                if stored && watched.iter().any(|p| name.starts_with(p)) {
+                    expect_watch.push(a.iter_all().find(|o| o.name == name).unwrap().clone());
+                }
+                let (digest, table, count) = recompute(&a);
+                prop_assert_eq!(a.digest(), digest);
+                prop_assert_eq!(a.digest_table(), table);
+                prop_assert_eq!(a.object_count(), count);
+            }
+            prop_assert!(a.iter_all().eq(b.iter_all()), "view and owned applies diverged");
+            let seen: Vec<RibObject> = std::iter::from_fn(|| a.poll_watch()).collect();
+            prop_assert_eq!(seen, expect_watch);
+        }
+
         #[test]
         fn prop_object_roundtrip(
             name in "[a-z/]{0,24}",
