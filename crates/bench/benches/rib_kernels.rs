@@ -4,7 +4,9 @@
 //! enrollment sync does), applying the same batch again when every
 //! object is stale, and answering a delta request. The view-based apply
 //! is timed against decoding each object first, and the merge-walk
-//! `delta_for` against the unsorted-summary fallback.
+//! `delta_for` against the unsorted-summary fallback. A footprint line
+//! reports the bytes each stored object costs, from the resident-set
+//! growth of holding the hub RIB in 300 replicas.
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rina_rib::{Rib, RibObject, RibObjectView};
@@ -56,9 +58,43 @@ fn apply_decoded(rib: &mut Rib, encs: &[Bytes]) -> usize {
     fresh
 }
 
+/// This process's resident set size in bytes, from `/proc/self/status`
+/// (0 where that is unavailable).
+fn vm_rss() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status.lines().find_map(|l| {
+        l.strip_prefix("VmRSS:")?.trim().strip_suffix("kB")?.trim().parse::<usize>().ok()
+    });
+    kb.unwrap_or(0) * 1024
+}
+
+/// Print the bytes per stored object of `RIBS` replicas of the hub RIB,
+/// as the growth of the resident set while building them: map nodes,
+/// entries and heap spills together, allocator slack included.
+fn footprint(encs: &[Bytes]) {
+    const RIBS: usize = 300;
+    let before = vm_rss();
+    let ribs: Vec<Rib> = (0..RIBS)
+        .map(|_| {
+            let mut rib = Rib::new(u64::MAX);
+            assert_eq!(apply_views(&mut rib, encs), encs.len());
+            rib
+        })
+        .collect();
+    let grown = vm_rss().saturating_sub(before);
+    println!(
+        "rib_kernels/footprint/{}: {:.0} B/object ({RIBS} RIBs, VmRSS delta)",
+        encs.len(),
+        grown as f64 / (RIBS * encs.len()) as f64
+    );
+    drop(black_box(ribs));
+}
+
 fn bench(c: &mut Criterion) {
     let encs = hub_objects();
     let n = encs.len();
+    // First, while the heap holds nothing it could reuse.
+    footprint(&encs);
     let mut hub = Rib::new(u64::MAX);
     hub.watch_prefix("/lsa/");
     assert_eq!(apply_views(&mut hub, &encs), n);

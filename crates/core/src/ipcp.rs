@@ -701,10 +701,8 @@ impl Ipcp {
             let own: Vec<RibObject> = self
                 .rib
                 .iter_all()
-                .filter(|o| {
-                    o.origin == self.addr && !self.rib.is_local_subtree(subtree_of(&o.name))
-                })
-                .cloned()
+                .filter(|o| o.origin == self.addr && !self.rib.is_local_subtree(subtree_of(o.name)))
+                .map(|o| o.to_object())
                 .collect();
             for obj in &own {
                 self.flood_rib(&obj.name, None, || obj.encode());
@@ -1185,7 +1183,7 @@ impl Ipcp {
             || proposed_addr > proposed_block.1;
         let own_member_name = format!("/members/{}", name.key());
         for o in self.rib.iter_prefix("/members/") {
-            if let Some(a) = decode_addr(&o.value) {
+            if let Some(a) = decode_addr(o.value) {
                 max_addr = max_addr.max(a);
                 if a == proposed_addr && o.name != own_member_name {
                     taken = true;
@@ -1193,7 +1191,7 @@ impl Ipcp {
             }
         }
         for o in self.rib.iter_prefix(BLOCK_PREFIX) {
-            let Some(b) = decode_block(&o.value) else { continue };
+            let Some(b) = decode_block(o.value) else { continue };
             max_addr = max_addr.max(b.1);
             let disjoint = proposed_block.1 < b.0 || b.1 < proposed_block.0;
             // Nesting is only legitimate *inward*: a proposal may sit
@@ -1217,12 +1215,12 @@ impl Ipcp {
         // Identity reuse: a member that failed (or lost its state) and
         // re-enrolls under the same name is re-granted its recorded
         // address and block.
-        if let Some(a) = self.rib.get(&own_member_name).and_then(|o| decode_addr(&o.value)) {
+        if let Some(a) = self.rib.get(&own_member_name).and_then(|o| decode_addr(o.value)) {
             if a != 0 && a != self.addr {
                 let b = self
                     .rib
                     .get(&block_name(a))
-                    .and_then(|o| decode_block(&o.value))
+                    .and_then(|o| decode_block(o.value))
                     .filter(|&(lo, hi)| lo <= a && a <= hi)
                     .unwrap_or((a, a));
                 return (a, b);
@@ -1256,7 +1254,7 @@ impl Ipcp {
         // us, so they are skipped, as is our own block record.
         let mut occ: Vec<(Addr, Addr)> = vec![(self.addr, self.addr)];
         for o in self.rib.iter_prefix(BLOCK_PREFIX) {
-            let Some(b) = decode_block(&o.value) else { continue };
+            let Some(b) = decode_block(o.value) else { continue };
             if b.0 <= lo && hi <= b.1 {
                 continue;
             }
@@ -1265,7 +1263,7 @@ impl Ipcp {
             }
         }
         for o in self.rib.iter_prefix("/members/") {
-            if let Some(a) = decode_addr(&o.value) {
+            if let Some(a) = decode_addr(o.value) {
                 if lo <= a && a <= hi {
                     occ.push((a, a));
                 }
@@ -1475,7 +1473,7 @@ impl Ipcp {
             // Degenerate directory: the peer might have it.
             return self.peer_addr_any();
         }
-        self.rib.get(&format!("/dir/{}", app.key())).and_then(|o| decode_addr(&o.value))
+        self.rib.get(&format!("/dir/{}", app.key())).and_then(|o| decode_addr(o.value))
     }
 
     fn peer_addr_any(&self) -> Option<Addr> {
@@ -1490,7 +1488,7 @@ impl Ipcp {
     fn resolve_dir_local(&mut self, app: &AppName) -> Option<Addr> {
         let name = format!("/dir/{}", app.key());
         if let Some(o) = self.rib.get(&name) {
-            return decode_addr(&o.value);
+            return decode_addr(o.value);
         }
         if let Some(c) = self.dir_cache.get_mut(&name) {
             self.dir_use += 1;
@@ -1595,7 +1593,7 @@ impl Ipcp {
             .rib
             .get(&name)
             .filter(|o| o.origin == self.addr)
-            .map(|o| (decode_addr(&o.value), o.version));
+            .map(|o| (decode_addr(o.value), o.version));
         if let Some((maybe_addr, version)) = own {
             let Some(addr) = maybe_addr else { return };
             let body = MgmtBody::DirLookupResponse { name, addr, version, lookup_id };
@@ -2533,7 +2531,7 @@ impl Ipcp {
         let Some((class, value)) = truth else { return false };
         let wrong = match self.rib.get(name) {
             None => true, // tombstoned (a live different value is also wrong)
-            Some(o) => o.value != value,
+            Some(o) => o.value != &value[..],
         };
         if !wrong {
             return false;
@@ -2939,8 +2937,8 @@ mod tests {
             2,
             Time::ZERO,
         );
-        let x = decode_addr(&sponsor.rib.get("/members/net.x").unwrap().value).unwrap();
-        let y = decode_addr(&sponsor.rib.get("/members/net.y").unwrap().value).unwrap();
+        let x = decode_addr(sponsor.rib.get("/members/net.x").unwrap().value).unwrap();
+        let y = decode_addr(sponsor.rib.get("/members/net.y").unwrap().value).unwrap();
         assert_eq!((x, y), (2, 3));
     }
 
@@ -3342,7 +3340,7 @@ mod tests {
         let (r, again_addr, again_block, _) = last_enroll_response(&mut sponsor);
         assert_eq!(r, 0);
         assert_eq!((again_addr, again_block), (first_addr, first_block), "identity reuse");
-        let rec = decode_addr(&sponsor.rib.get("/members/net.x").unwrap().value).unwrap();
+        let rec = decode_addr(sponsor.rib.get("/members/net.x").unwrap().value).unwrap();
         assert_eq!(rec, first_addr, "one member record, unchanged");
     }
 
@@ -3452,7 +3450,7 @@ mod tests {
             let cur = a.rib.get(name).expect("live before the purge");
             let tomb = RibObject {
                 name: name.into(),
-                class: cur.class.clone(),
+                class: cur.class.to_string(),
                 value: Bytes::new(),
                 version: cur.version + 1,
                 origin: 9,
@@ -3462,7 +3460,7 @@ mod tests {
         }
         assert_eq!(a.stats.reasserts, 2);
         let rec = a.rib.get("/members/net.a").expect("reasserted");
-        assert_eq!(decode_addr(&rec.value), Some(1));
+        assert_eq!(decode_addr(rec.value), Some(1));
         assert_eq!(a.dir_lookup(&AppName::new("web")), Some(1));
         // An unregistered app's tombstone is accepted, not fought.
         a.dir_unregister(&AppName::new("web"));
@@ -3856,7 +3854,7 @@ mod tests {
         let cur = a.rib.get(&Lsa::object_name(1)).expect("own LSA live");
         let tomb = RibObject {
             name: Lsa::object_name(1),
-            class: cur.class.clone(),
+            class: cur.class.to_string(),
             value: Bytes::new(),
             version: cur.version + 1,
             origin: 1, // authored by our own previous incarnation
@@ -3865,7 +3863,7 @@ mod tests {
         a.apply_and_reflood(&tomb.encode(), 0);
         assert_eq!(a.stats.reasserts, 1, "own-origin clobber must be fought");
         let healed = a.rib.get(&Lsa::object_name(1)).expect("LSA reasserted");
-        assert_eq!(Lsa::decode(&healed.value).unwrap().neighbors, vec![(2, 1)]);
+        assert_eq!(Lsa::decode(healed.value).unwrap().neighbors, vec![(2, 1)]);
     }
 
     /// A member with two live, enrolled tree neighbors (7 on port 0, 8
@@ -3942,7 +3940,11 @@ mod tests {
         a.on_frame(0, batch_frame(&encs), Time::ZERO);
         assert_eq!(a.stats.decode_errors, 0);
         for o in [&o1, &o2, &o3] {
-            assert_eq!(a.rib.get(&o.name), Some(o), "padded fields decode to the same object");
+            assert_eq!(
+                a.rib.get(&o.name).map(|v| v.to_object()).as_ref(),
+                Some(o),
+                "padded fields decode to the same object"
+            );
         }
         let out = a.take_out();
         let sent = sent_objects(&out, 1);

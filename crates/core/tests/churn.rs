@@ -38,7 +38,7 @@ fn stale_objects(net: &Net, members: &[IpcpH]) -> Vec<(usize, u64, String)> {
     for (i, &h) in members.iter().enumerate() {
         for o in net.ipcp(h).rib.iter_prefix("/") {
             if o.origin != 0 && !addrs.contains(&o.origin) {
-                out.push((i, o.origin, o.name.clone()));
+                out.push((i, o.origin, o.name.to_string()));
             }
         }
     }

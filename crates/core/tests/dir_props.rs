@@ -100,7 +100,7 @@ fn assert_cache_matches_owners(net: &Net, ipcps: &[IpcpH]) {
                 });
             assert!(!obj.deleted, "cached {name} is tombstoned at its owner");
             assert_eq!(obj.origin, addr, "owner entry {name} not self-originated");
-            let auth = rina_wire::codec::Reader::new(&obj.value).varint().expect("dir addr");
+            let auth = rina_wire::codec::Reader::new(obj.value).varint().expect("dir addr");
             assert_eq!(auth, addr, "cache and owner disagree on {name}");
             assert!(
                 version <= obj.version,

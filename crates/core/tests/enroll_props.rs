@@ -73,8 +73,8 @@ fn member_map(a: &Assembled) -> BTreeMap<String, u64> {
         .rib
         .iter_prefix("/members/")
         .map(|o| {
-            let addr = rina_wire::codec::Reader::new(&o.value).varint().expect("member addr");
-            (o.name.clone(), addr)
+            let addr = rina_wire::codec::Reader::new(o.value).varint().expect("member addr");
+            (o.name.to_string(), addr)
         })
         .collect()
 }
@@ -88,7 +88,7 @@ fn block_map(a: &Assembled) -> Vec<(u64, (u64, u64))> {
         .iter_prefix(BLOCK_PREFIX)
         .map(|o| {
             let owner = o.name[BLOCK_PREFIX.len()..].parse::<u64>().expect("block owner");
-            (owner, decode_block(&o.value).expect("block value"))
+            (owner, decode_block(o.value).expect("block value"))
         })
         .collect()
 }

@@ -33,6 +33,13 @@
 //! bookkeeping via [`Rib::apply_remote_silent`], or straight from a
 //! receive buffer via [`Rib::apply_remote_view`] on a [`RibObjectView`],
 //! which drops a stale version before allocating anything.
+//!
+//! Every member of a DIF holds a replica of its RIB, so the store is
+//! compact: one 64-byte entry per object, holding the name inline (up to
+//! 22 bytes), the class as a per-RIB interned id and the value inline (up
+//! to 16 bytes), with a heap allocation only for a longer name or value.
+//! Reads return [`RibObjectView`]s borrowed from it; [`RibObject`] is the
+//! owned form that travels (DESIGN.md §6, *Storage layout*).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -41,6 +48,8 @@
 use bytes::Bytes;
 use rina_wire::codec::{Reader, Writer};
 use rina_wire::WireError;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound;
 
@@ -90,13 +99,27 @@ impl RibObject {
         r.expect_end()?;
         Ok(RibObject { name, class, value, version, origin, deleted })
     }
+
+    /// Borrow as a view.
+    fn view(&self) -> RibObjectView<'_> {
+        RibObjectView::new(
+            &self.name,
+            &self.class,
+            &self.value,
+            self.version,
+            self.origin,
+            self.deleted,
+        )
+    }
 }
 
-/// Borrowed, read-only view of an encoded [`RibObject`]: the receive
-/// path's peek. It reads every field in place, so a received object can
-/// be checked for freshness, and a stale one dropped, before anything is
-/// allocated. [`RibObjectView::to_object`] is the one copy a fresh
-/// object pays.
+/// Borrowed, read-only view of one object version, with the fields of
+/// [`RibObject`]. It is what the RIB's reads ([`Rib::get`],
+/// [`Rib::iter_prefix`], [`Rib::iter_all`]) return, and the receive
+/// path's peek: [`RibObjectView::peek`] reads every field of an encoding
+/// in place, so a received object can be checked for freshness, and a
+/// stale one dropped, before anything is allocated.
+/// [`RibObjectView::to_object`] is the one copy a fresh object pays.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RibObjectView<'a> {
     /// Path-style instance name.
@@ -111,11 +134,26 @@ pub struct RibObjectView<'a> {
     pub origin: u64,
     /// True if this version deletes the object.
     pub deleted: bool,
-    /// Length of the encoding this view was peeked from.
+    /// Length of the encoding this view was peeked from; the canonical
+    /// length for a view of stored or owned fields.
     wire_len: usize,
 }
 
 impl<'a> RibObjectView<'a> {
+    /// A view of borrowed fields, encoding canonically.
+    fn new(
+        name: &'a str,
+        class: &'a str,
+        value: &'a [u8],
+        version: u64,
+        origin: u64,
+        deleted: bool,
+    ) -> Self {
+        let mut v = RibObjectView { name, class, value, version, origin, deleted, wire_len: 0 };
+        v.wire_len = v.canonical_len();
+        v
+    }
+
     /// Peek an encoded object. Accepts exactly the buffers
     /// [`RibObject::decode`] accepts, with the same error, and never
     /// panics on arbitrary bytes.
@@ -131,7 +169,7 @@ impl<'a> RibObjectView<'a> {
         Ok(RibObjectView { name, class, value, version, origin, deleted, wire_len: buf.len() })
     }
 
-    /// Copy out into an owned object. The value is copied, so a stored
+    /// Copy out into an owned object. The value is copied, so an owned
     /// object never pins the buffer it was received in.
     pub fn to_object(&self) -> RibObject {
         RibObject {
@@ -144,19 +182,37 @@ impl<'a> RibObjectView<'a> {
         }
     }
 
+    /// Encode for carriage inside a CDAP value: the canonical encoding,
+    /// the same bytes [`RibObject::encode`] writes for these fields.
+    pub fn encode(&self) -> Bytes {
+        let mut w = Writer::with_capacity(self.canonical_len());
+        w.string(self.name)
+            .string(self.class)
+            .bytes(self.value)
+            .varint(self.version)
+            .varint(self.origin)
+            .boolean(self.deleted);
+        w.finish()
+    }
+
     /// Whether the peeked bytes are exactly what [`RibObject::encode`]
     /// writes for this object, so they may be forwarded verbatim. The
     /// reader accepts padded varints, which only ever lengthen an
     /// encoding: equal length to the canonical form means equal bytes.
+    /// A view that was not peeked is canonical.
     pub fn is_canonical(&self) -> bool {
+        self.wire_len == self.canonical_len()
+    }
+
+    /// Length of the canonical encoding.
+    fn canonical_len(&self) -> usize {
         let field = |n: usize| varint_len(n as u64) + n;
-        let canonical = field(self.name.len())
+        field(self.name.len())
             + field(self.class.len())
             + field(self.value.len())
             + varint_len(self.version)
             + varint_len(self.origin)
-            + 1;
-        self.wire_len == canonical
+            + 1
     }
 }
 
@@ -165,45 +221,168 @@ fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
-/// An object version on its way into [`Rib::store`]: owned (local
-/// writes, decoded objects) or borrowed from a receive buffer.
-trait Incoming {
-    /// `(name, version, origin, deleted)`.
-    fn key(&self) -> (&str, u64, u64, bool);
-    /// The owned object, for a name not stored yet.
-    fn into_object(self) -> RibObject;
-    /// Overwrite `cur`, an older version of the same name, in place.
-    fn replace(self, cur: &mut RibObject);
+/// Longest name a [`Name`] holds inline.
+const NAME_INLINE: usize = 22;
+/// Longest value a [`Body`] holds inline.
+const VALUE_INLINE: usize = 16;
+
+/// `bytes` copied into a zero-padded inline buffer with its length, if
+/// it fits.
+fn inline<const N: usize>(bytes: &[u8]) -> Option<(u8, [u8; N])> {
+    let mut buf = [0; N];
+    buf.get_mut(..bytes.len())?.copy_from_slice(bytes);
+    Some((bytes.len() as u8, buf))
 }
 
-impl Incoming for RibObject {
-    fn key(&self) -> (&str, u64, u64, bool) {
-        (&self.name, self.version, self.origin, self.deleted)
-    }
-    fn into_object(self) -> RibObject {
-        self
-    }
-    fn replace(self, cur: &mut RibObject) {
-        *cur = self;
-    }
+/// A stored object's name, the key of the RIB's object map: inline up
+/// to [`NAME_INLINE`] bytes, one heap allocation beyond. Names order and
+/// compare as bytes, which for UTF-8 is exactly `str` order, so the map
+/// walks names in the same order a `String` key would.
+#[derive(Debug)]
+enum Name {
+    Inline { len: u8, buf: [u8; NAME_INLINE] },
+    Heap(Box<str>),
 }
 
-impl Incoming for &RibObjectView<'_> {
-    fn key(&self) -> (&str, u64, u64, bool) {
-        (self.name, self.version, self.origin, self.deleted)
-    }
-    fn into_object(self) -> RibObject {
-        self.to_object()
-    }
-    fn replace(self, cur: &mut RibObject) {
-        // The name is equal by construction; the class rarely changes.
-        if cur.class != self.class {
-            cur.class = self.class.to_string();
+impl Name {
+    fn new(name: &str) -> Self {
+        match inline(name.as_bytes()) {
+            Some((len, buf)) => Name::Inline { len, buf },
+            None => Name::Heap(name.into()),
         }
-        cur.value = Bytes::copy_from_slice(self.value);
-        cur.version = self.version;
-        cur.origin = self.origin;
-        cur.deleted = self.deleted;
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Name::Inline { len, buf } => &buf[..*len as usize],
+            Name::Heap(s) => s.as_bytes(),
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            Name::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("an inline name is a whole str")
+            }
+            Name::Heap(s) => s,
+        }
+    }
+}
+
+impl Borrow<[u8]> for Name {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+/// A stored object's interned class id, tombstone flag and value, packed
+/// into the bytes the variant tag leaves free: the value is inline up to
+/// [`VALUE_INLINE`] bytes, one heap allocation beyond.
+#[derive(Debug)]
+enum Body {
+    Inline { class: u32, deleted: bool, len: u8, buf: [u8; VALUE_INLINE] },
+    Heap { class: u32, deleted: bool, buf: Box<[u8]> },
+}
+
+impl Body {
+    fn new(class: u32, deleted: bool, value: &[u8]) -> Self {
+        match inline(value) {
+            Some((len, buf)) => Body::Inline { class, deleted, len, buf },
+            None => Body::Heap { class, deleted, buf: value.into() },
+        }
+    }
+
+    fn class(&self) -> u32 {
+        match self {
+            Body::Inline { class, .. } | Body::Heap { class, .. } => *class,
+        }
+    }
+
+    fn deleted(&self) -> bool {
+        match self {
+            Body::Inline { deleted, .. } | Body::Heap { deleted, .. } => *deleted,
+        }
+    }
+
+    fn value(&self) -> &[u8] {
+        match self {
+            Body::Inline { len, buf, .. } => &buf[..*len as usize],
+            Body::Heap { buf, .. } => buf,
+        }
+    }
+}
+
+/// The stored version of one name (the name is the map key).
+#[derive(Debug)]
+struct Entry {
+    version: u64,
+    origin: u64,
+    body: Body,
+}
+
+impl Entry {
+    fn new(obj: &RibObjectView<'_>, class: u32) -> Self {
+        Entry {
+            version: obj.version,
+            origin: obj.origin,
+            body: Body::new(class, obj.deleted, obj.value),
+        }
+    }
+}
+
+/// Bytes of one stored object outside the heap spills: its map key and
+/// entry. The map's nodes add their slack on top.
+const STORED_BYTES: usize = 64;
+const _: () = assert!(
+    std::mem::size_of::<Name>() + std::mem::size_of::<Entry>() <= STORED_BYTES,
+    "a stored object outgrew its documented size"
+);
+
+/// A RIB's interned object classes: an id indexes `names`, and `by_name`
+/// holds the ids sorted by class name for lookup.
+#[derive(Debug, Default)]
+struct Classes {
+    names: Vec<Box<str>>,
+    by_name: Vec<u32>,
+}
+
+impl Classes {
+    /// The id of `class`, interning it if new.
+    fn id(&mut self, class: &str) -> u32 {
+        let names = &self.names;
+        match self.by_name.binary_search_by(|&id| (*names[id as usize]).cmp(class)) {
+            Ok(i) => self.by_name[i],
+            Err(i) => {
+                let id = u32::try_from(names.len()).expect("fewer classes than objects");
+                self.names.push(class.into());
+                self.by_name.insert(i, id);
+                id
+            }
+        }
+    }
+
+    fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
     }
 }
 
@@ -230,12 +409,16 @@ impl RibEvent {
 /// second separator are their own subtree. Digest tables, delta requests,
 /// and flood suppression all work at this granularity.
 pub fn subtree_of(name: &str) -> &str {
-    if let Some(rest) = name.strip_prefix('/') {
-        if let Some(i) = rest.find('/') {
-            return &name[..i + 1];
-        }
+    &name[..subtree_len(name.as_bytes())]
+}
+
+/// Length of [`subtree_of`]`(name)`: up to the second `/`, if the name
+/// starts with one.
+fn subtree_len(name: &[u8]) -> usize {
+    match name.split_first() {
+        Some((b'/', rest)) => rest.iter().position(|&b| b == b'/').map_or(name.len(), |i| i + 1),
+        _ => name.len(),
     }
-    name
 }
 
 /// One object's version coordinates, without its value — the unit of a
@@ -418,7 +601,10 @@ fn in_range(name: &str, from: &str, upto: &str) -> bool {
 pub struct Rib {
     /// The member's own DIF-internal address (0 until enrolled).
     origin: u64,
-    objects: BTreeMap<String, RibObject>,
+    /// Every stored object version, tombstones included, in name order.
+    objects: BTreeMap<Name, Entry>,
+    /// The classes `objects` refer to by id.
+    classes: Classes,
     events: VecDeque<RibEvent>,
     /// Objects (new versions) to disseminate to neighbors.
     outbox: VecDeque<RibObject>,
@@ -488,7 +674,7 @@ impl Rib {
     /// Write (create or update) an object authored locally. The new version
     /// supersedes any existing one and is queued for dissemination.
     pub fn write_local(&mut self, name: &str, class: &str, value: Bytes) {
-        let version = self.objects.get(name).map_or(1, |o| o.version + 1);
+        let version = self.objects.get(name.as_bytes()).map_or(1, |e| e.version + 1);
         let obj = RibObject {
             name: name.to_string(),
             class: class.to_string(),
@@ -498,7 +684,7 @@ impl Rib {
             deleted: false,
         };
         // A bumped version is always newer, so the store never declines.
-        let Some(obj) = self.store(obj, RibObject::clone) else { return };
+        self.store(&obj.view());
         self.events.push_back(RibEvent::Upserted(obj.clone()));
         if !self.is_local_subtree(subtree_of(&obj.name)) {
             self.outbox.push_back(obj);
@@ -541,32 +727,32 @@ impl Rib {
     /// The single store choke point. Stores `obj` if it is newer than
     /// the stored version of its name (or the name is new), keeping the
     /// incremental digests (whole-RIB and per-subtree) and the watch
-    /// queue in sync, and returns `then` of the stored object; a stale
-    /// `obj` changes nothing and is dropped unconverted. One object-map
-    /// lookup decides freshness, and a known name is updated in place:
-    /// this runs once per received object, millions of times in a big
-    /// assembly.
-    fn store<I: Incoming, R>(&mut self, obj: I, then: impl FnOnce(&RibObject) -> R) -> Option<R> {
-        let (name, version, origin, deleted) = obj.key();
-        let name_h = name_hash(name);
-        let watched = self.watch_prefixes.iter().any(|p| name.starts_with(p.as_str()));
-        let mut xor = fingerprint(name_h, version, origin, deleted);
-        let (stored, is_new) = match self.objects.get_mut(name) {
+    /// queue in sync, and returns whether it did; a stale `obj` changes
+    /// nothing. One object-map lookup decides freshness, and a known name
+    /// is updated in place: this runs once per received object, millions
+    /// of times in a big assembly. Beyond the map's own node growth, a
+    /// fresh object allocates only for a name or value too long to store
+    /// inline, and for the owned copy a watched name queues.
+    fn store(&mut self, obj: &RibObjectView<'_>) -> bool {
+        let name_h = name_hash(obj.name);
+        let mut xor = fingerprint(name_h, obj.version, obj.origin, obj.deleted);
+        let is_new = match self.objects.get_mut(obj.name.as_bytes()) {
             Some(cur) => {
-                if (version, origin) <= (cur.version, cur.origin) {
-                    return None;
+                if (obj.version, obj.origin) <= (cur.version, cur.origin) {
+                    return false;
                 }
-                xor ^= fingerprint(name_h, cur.version, cur.origin, cur.deleted);
-                obj.replace(cur);
-                (cur, false)
+                xor ^= fingerprint(name_h, cur.version, cur.origin, cur.body.deleted());
+                *cur = Entry::new(obj, self.classes.id(obj.class));
+                false
             }
             None => {
-                let obj = obj.into_object();
-                (self.objects.entry(obj.name.clone()).or_insert(obj), true)
+                self.objects
+                    .insert(Name::new(obj.name), Entry::new(obj, self.classes.id(obj.class)));
+                true
             }
         };
         self.digest ^= xor;
-        let st = subtree_of(&stored.name);
+        let st = subtree_of(obj.name);
         // get_mut before insert: the common case (subtree exists) must
         // not allocate an owned key per store.
         match self.subtrees.get_mut(st) {
@@ -578,10 +764,22 @@ impl Rib {
                 self.subtrees.insert(st.to_string(), (1, xor));
             }
         }
-        if watched {
-            self.watch_q.push_back(stored.clone());
+        if self.watch_prefixes.iter().any(|p| obj.name.starts_with(p.as_str())) {
+            self.watch_q.push_back(obj.to_object());
         }
-        Some(then(stored))
+        true
+    }
+
+    /// The view of one stored object.
+    fn view<'a>(&'a self, name: &'a Name, e: &'a Entry) -> RibObjectView<'a> {
+        RibObjectView::new(
+            name.as_str(),
+            self.classes.name(e.body.class()),
+            e.body.value(),
+            e.version,
+            e.origin,
+            e.body.deleted(),
+        )
     }
 
     /// All stored objects (tombstones included) in `subtree` with names
@@ -591,15 +789,15 @@ impl Rib {
         subtree: &'a str,
         from: &'a str,
         upto: &'a str,
-    ) -> impl Iterator<Item = &'a RibObject> + 'a {
+    ) -> impl Iterator<Item = (&'a Name, &'a Entry)> + 'a {
         // A subtree's names are one contiguous run of the name order.
         self.objects
-            .range::<str, _>((Bound::Included(subtree.max(from)), Bound::Unbounded))
+            .range::<[u8], _>((Bound::Included(subtree.max(from).as_bytes()), Bound::Unbounded))
             .take_while(move |(k, _)| {
-                k.starts_with(subtree) && (upto.is_empty() || k.as_str() < upto)
+                k.as_bytes().starts_with(subtree.as_bytes())
+                    && (upto.is_empty() || k.as_bytes() < upto.as_bytes())
             })
-            .filter(move |(k, _)| subtree_of(k) == subtree)
-            .map(|(_, v)| v)
+            .filter(move |(k, _)| subtree_len(k.as_bytes()) == subtree.len())
     }
 
     /// [`Rib::write_local`], but a no-op when the object already holds
@@ -608,8 +806,8 @@ impl Rib {
     /// versions, which would re-flood an unchanged object DIF-wide.
     /// Returns whether a write happened.
     pub fn write_local_if_changed(&mut self, name: &str, class: &str, value: Bytes) -> bool {
-        match self.objects.get(name) {
-            Some(o) if !o.deleted && o.class == class && o.value == value => false,
+        match self.get(name) {
+            Some(o) if o.class == class && o.value == &value[..] => false,
             _ => {
                 self.write_local(name, class, value);
                 true
@@ -620,21 +818,16 @@ impl Rib {
     /// Tombstone an object authored locally. No-op if absent or already
     /// deleted.
     pub fn delete_local(&mut self, name: &str) {
-        let Some(cur) = self.objects.get(name) else {
-            return;
-        };
-        if cur.deleted {
-            return;
-        }
+        let Some(cur) = self.get(name) else { return };
         let obj = RibObject {
-            name: cur.name.clone(),
-            class: cur.class.clone(),
+            name: cur.name.to_string(),
+            class: cur.class.to_string(),
             value: Bytes::new(),
             version: cur.version + 1,
             origin: self.origin,
             deleted: true,
         };
-        let Some(obj) = self.store(obj, RibObject::clone) else { return };
+        self.store(&obj.view());
         self.events.push_back(RibEvent::Deleted(obj.clone()));
         self.outbox.push_back(obj);
     }
@@ -643,42 +836,45 @@ impl Rib {
     /// than local state (caller should then re-flood it to other
     /// neighbors); `false` if stale or identical.
     pub fn apply_remote(&mut self, obj: RibObject) -> bool {
-        let Some(stored) = self.store(obj, RibObject::clone) else { return false };
-        let ev =
-            if stored.deleted { RibEvent::Deleted(stored) } else { RibEvent::Upserted(stored) };
+        if !self.store(&obj.view()) {
+            return false;
+        }
+        let ev = if obj.deleted { RibEvent::Deleted(obj) } else { RibEvent::Upserted(obj) };
         self.events.push_back(ev);
         true
     }
 
     /// [`Rib::apply_remote`] without queueing a [`RibEvent`] — for
     /// callers that react to the returned freshness directly and would
-    /// only drain-and-discard the event. Skipping it avoids cloning
-    /// every applied object, which matters when a joiner absorbs a
-    /// multi-thousand-object sync stream.
+    /// only drain-and-discard the event.
     pub fn apply_remote_silent(&mut self, obj: RibObject) -> bool {
-        self.store(obj, |_| ()).is_some()
+        self.store(&obj.view())
     }
 
     /// [`Rib::apply_remote_silent`] straight from a receive buffer: one
     /// lookup decides freshness, a stale version is dropped without
-    /// allocating, and a fresh one is copied out of the buffer exactly
-    /// once (in place when the name is already stored).
+    /// allocating, and a fresh one is copied out of the buffer into the
+    /// store (in place when the name is already stored).
     pub fn apply_remote_view(&mut self, view: &RibObjectView<'_>) -> bool {
-        self.store(view, |_| ()).is_some()
+        self.store(view)
     }
 
     /// Current value of a live (non-deleted) object.
-    pub fn get(&self, name: &str) -> Option<&RibObject> {
-        self.objects.get(name).filter(|o| !o.deleted)
+    pub fn get(&self, name: &str) -> Option<RibObjectView<'_>> {
+        let (k, e) = self.objects.get_key_value(name.as_bytes())?;
+        (!e.body.deleted()).then(|| self.view(k, e))
     }
 
     /// All live objects whose names start with `prefix`, in name order.
-    pub fn iter_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a RibObject> + 'a {
+    pub fn iter_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = RibObjectView<'a>> + 'a {
         self.objects
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| v)
-            .filter(|o| !o.deleted)
+            .range::<[u8], _>((Bound::Included(prefix.as_bytes()), Bound::Unbounded))
+            .take_while(move |(k, _)| k.as_bytes().starts_with(prefix.as_bytes()))
+            .filter(|(_, e)| !e.body.deleted())
+            .map(|(k, e)| self.view(k, e))
     }
 
     /// Names of every live object whose last write came from `origin` —
@@ -688,9 +884,9 @@ impl Rib {
     /// converge like any other write.
     pub fn live_of_origin(&self, origin: u64) -> Vec<String> {
         self.objects
-            .values()
-            .filter(|o| !o.deleted && o.origin == origin)
-            .map(|o| o.name.clone())
+            .iter()
+            .filter(|(_, e)| !e.body.deleted() && e.origin == origin)
+            .map(|(k, _)| k.as_str().to_string())
             .collect()
     }
 
@@ -698,23 +894,22 @@ impl Rib {
     /// member receives (§5.2). Local-scope subtrees are excluded: their
     /// objects are owner-held, so a joiner never receives them.
     pub fn snapshot(&self) -> Vec<RibObject> {
-        self.objects
-            .values()
-            .filter(|o| !self.is_local_subtree(subtree_of(&o.name)))
-            .cloned()
+        self.iter_all()
+            .filter(|o| !self.is_local_subtree(subtree_of(o.name)))
+            .map(|o| o.to_object())
             .collect()
     }
 
-    /// Borrowing iterator over every stored object, tombstones included
-    /// — for callers that filter before cloning (periodic
-    /// re-advertisement clones 3 own objects, not a 3000-object RIB).
-    pub fn iter_all(&self) -> impl Iterator<Item = &RibObject> + '_ {
-        self.objects.values()
+    /// Borrowing iterator over every stored object, tombstones included,
+    /// in name order — for callers that filter before copying (periodic
+    /// re-advertisement copies 3 own objects, not a 3000-object RIB).
+    pub fn iter_all(&self) -> impl Iterator<Item = RibObjectView<'_>> + '_ {
+        self.objects.iter().map(|(k, e)| self.view(k, e))
     }
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.objects.values().filter(|o| !o.deleted).count()
+        self.objects.values().filter(|e| !e.body.deleted()).count()
     }
 
     /// Number of stored objects, tombstones included (pairs with
@@ -759,7 +954,11 @@ impl Rib {
             return Vec::new();
         }
         self.subtree_objects(subtree, "", "")
-            .map(|o| ObjVer { name: o.name.clone(), version: o.version, origin: o.origin })
+            .map(|(k, e)| ObjVer {
+                name: k.as_str().to_string(),
+                version: e.version,
+                origin: e.origin,
+            })
             .collect()
     }
 
@@ -803,21 +1002,21 @@ impl Rib {
         let mut send = Vec::new();
         let mut behind = false;
         let mut theirs = summary.iter().filter(|v| in_range(&v.name, from, upto)).peekable();
-        for o in self.subtree_objects(subtree, from, upto) {
+        for (k, e) in self.subtree_objects(subtree, from, upto) {
             // Their names that sort before ours are names this subtree
             // walk does not hold.
-            while let Some(v) = theirs.next_if(|v| v.name < o.name) {
+            while let Some(v) = theirs.next_if(|v| v.name.as_bytes() < k.as_bytes()) {
                 behind = behind || self.peer_newer(v);
             }
-            match theirs.next_if(|v| v.name == o.name) {
+            match theirs.next_if(|v| v.name.as_bytes() == k.as_bytes()) {
                 Some(v) => {
-                    let (t, ours) = ((v.version, v.origin), (o.version, o.origin));
+                    let (t, ours) = ((v.version, v.origin), (e.version, e.origin));
                     if t < ours {
-                        send.push(o.clone());
+                        send.push(self.view(k, e).to_object());
                     }
                     behind = behind || t > ours;
                 }
-                None => send.push(o.clone()),
+                None => send.push(self.view(k, e).to_object()),
             }
         }
         for v in theirs {
@@ -835,13 +1034,13 @@ impl Rib {
         upto: &str,
         summary: &[ObjVer],
     ) -> (Vec<RibObject>, bool) {
-        let theirs: BTreeMap<&str, (u64, u64)> =
-            summary.iter().map(|v| (v.name.as_str(), (v.version, v.origin))).collect();
+        let theirs: BTreeMap<&[u8], (u64, u64)> =
+            summary.iter().map(|v| (v.name.as_bytes(), (v.version, v.origin))).collect();
         let mut send = Vec::new();
-        for o in self.subtree_objects(subtree, from, upto) {
-            match theirs.get(o.name.as_str()) {
-                Some(&(v, org)) if (v, org) >= (o.version, o.origin) => {}
-                _ => send.push(o.clone()),
+        for (k, e) in self.subtree_objects(subtree, from, upto) {
+            match theirs.get(k.as_bytes()) {
+                Some(&t) if t >= (e.version, e.origin) => {}
+                _ => send.push(self.view(k, e).to_object()),
             }
         }
         let behind =
@@ -852,7 +1051,9 @@ impl Rib {
     /// Whether a summary entry proves the peer holds a version of its
     /// name newer than ours (or one we lack altogether).
     fn peer_newer(&self, v: &ObjVer) -> bool {
-        self.objects.get(&v.name).is_none_or(|o| (v.version, v.origin) > (o.version, o.origin))
+        self.objects
+            .get(v.name.as_bytes())
+            .is_none_or(|e| (v.version, v.origin) > (e.version, e.origin))
     }
 
     /// True when no live objects exist.
@@ -870,6 +1071,8 @@ impl Rib {
         self.outbox.pop_front()
     }
 }
+#[cfg(test)]
+mod model_tests;
 
 #[cfg(test)]
 mod tests {
@@ -887,7 +1090,7 @@ mod tests {
         let o = rib.get("/dir/app-a").unwrap();
         assert_eq!(o.version, 1);
         assert_eq!(o.origin, 5);
-        assert_eq!(o.value.as_ref(), b"\x2a");
+        assert_eq!(o.value, b"\x2a");
         let evs = drain_events(&mut rib);
         assert_eq!(evs.len(), 1);
         assert!(matches!(evs[0], RibEvent::Upserted(_)));
@@ -901,7 +1104,7 @@ mod tests {
         rib.write_local("/x", "c", Bytes::from_static(b"1"));
         rib.write_local("/x", "c", Bytes::from_static(b"2"));
         assert_eq!(rib.get("/x").unwrap().version, 2);
-        assert_eq!(rib.get("/x").unwrap().value.as_ref(), b"2");
+        assert_eq!(rib.get("/x").unwrap().value, b"2");
     }
 
     #[test]
@@ -916,7 +1119,7 @@ mod tests {
         // A tombstoned object counts as changed: it must resurrect.
         rib.delete_local("/x");
         assert!(rib.write_local_if_changed("/x", "c", Bytes::from_static(b"2")));
-        assert_eq!(rib.get("/x").unwrap().value.as_ref(), b"2");
+        assert_eq!(rib.get("/x").unwrap().value, b"2");
     }
 
     #[test]
@@ -931,7 +1134,7 @@ mod tests {
         let o2 = a.poll_dissemination().unwrap();
         assert!(b.apply_remote(o2));
         assert!(!b.apply_remote(o1), "old version rejected");
-        assert_eq!(b.get("/lsa/1").unwrap().value.as_ref(), b"v2");
+        assert_eq!(b.get("/lsa/1").unwrap().value, b"v2");
     }
 
     #[test]
@@ -1001,7 +1204,7 @@ mod tests {
         assert!(y.apply_remote(ob));
         assert!(!y.apply_remote(oa));
         assert_eq!(x.get("/contested").unwrap().value, y.get("/contested").unwrap().value);
-        assert_eq!(x.get("/contested").unwrap().value.as_ref(), b"high");
+        assert_eq!(x.get("/contested").unwrap().value, b"high");
     }
 
     #[test]
@@ -1012,7 +1215,7 @@ mod tests {
         rib.write_local("/lsa/1", "lsa", Bytes::new());
         rib.write_local("/dir/c", "dir", Bytes::new());
         rib.delete_local("/dir/b");
-        let names: Vec<_> = rib.iter_prefix("/dir/").map(|o| o.name.as_str()).collect();
+        let names: Vec<_> = rib.iter_prefix("/dir/").map(|o| o.name).collect();
         assert_eq!(names, vec!["/dir/a", "/dir/c"]);
     }
 
@@ -1097,7 +1300,7 @@ mod tests {
             }
         }
         for rib in &ribs {
-            assert_eq!(rib.get("/lsa/1").unwrap().value.as_ref(), b"x");
+            assert_eq!(rib.get("/lsa/1").unwrap().value, b"x");
         }
     }
 
@@ -1144,8 +1347,8 @@ mod tests {
         a.write_local("/dir/x", "dir", Bytes::new());
         let mut b = Rib::new(2);
         // b holds /lsa/2 at the same version and /lsa/3 newer.
-        b.apply_remote(a.get("/lsa/2").unwrap().clone());
-        let mut newer = a.get("/lsa/3").unwrap().clone();
+        b.apply_remote(a.get("/lsa/2").unwrap().to_object());
+        let mut newer = a.get("/lsa/3").unwrap().to_object();
         newer.version += 1;
         newer.origin = 2;
         b.apply_remote(newer);
@@ -1412,7 +1615,7 @@ mod tests {
             let enc = obj.encode();
             assert_eq!(r.apply_remote_view(&RibObjectView::peek(&enc).unwrap()), fresh);
         }
-        assert_eq!(r.get("/lsa/9"), Some(&o(3, "other", b"d")));
+        assert_eq!(r.get("/lsa/9").map(|v| v.to_object()), Some(o(3, "other", b"d")));
         assert_eq!(r.object_count(), 1);
         let seen: Vec<u64> = std::iter::from_fn(|| r.poll_watch()).map(|o| o.version).collect();
         assert_eq!(seen, vec![2, 3], "stale versions never reach the watch queue");
@@ -1423,9 +1626,9 @@ mod tests {
         let mut digest = 0;
         let mut per: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
         for o in r.iter_all() {
-            let f = fingerprint(name_hash(&o.name), o.version, o.origin, o.deleted);
+            let f = fingerprint(name_hash(o.name), o.version, o.origin, o.deleted);
             digest ^= f;
-            let e = per.entry(subtree_of(&o.name)).or_default();
+            let e = per.entry(subtree_of(o.name)).or_default();
             e.0 += 1;
             e.1 ^= f;
         }
@@ -1453,9 +1656,9 @@ mod tests {
         };
         let send = rib
             .iter_all()
-            .filter(|o| subtree_of(&o.name) == subtree && in_range(&o.name, from, upto))
-            .filter(|o| theirs(&o.name).is_none_or(|t| t < (o.version, o.origin)))
-            .cloned()
+            .filter(|o| subtree_of(o.name) == subtree && in_range(o.name, from, upto))
+            .filter(|o| theirs(o.name).is_none_or(|t| t < (o.version, o.origin)))
+            .map(|o| o.to_object())
             .collect();
         let behind = summary.iter().filter(|v| in_range(&v.name, from, upto)).any(|v| {
             rib.iter_all()
@@ -1611,7 +1814,8 @@ mod tests {
                     }
                 };
                 if stored && watched.iter().any(|p| name.starts_with(p)) {
-                    expect_watch.push(a.iter_all().find(|o| o.name == name).unwrap().clone());
+                    let stored = a.iter_all().find(|o| o.name == name).unwrap();
+                    expect_watch.push(stored.to_object());
                 }
                 let (digest, table, count) = recompute(&a);
                 prop_assert_eq!(a.digest(), digest);
@@ -1656,7 +1860,7 @@ mod tests {
             let mut r = Rib::new(9);
             for o in updates.clone() { r.apply_remote(o); }
             let winner = updates.iter().max_by_key(|o| (o.version, o.origin)).unwrap();
-            prop_assert_eq!(&r.get("/obj").unwrap().value, &winner.value);
+            prop_assert_eq!(r.get("/obj").unwrap().value, &winner.value[..]);
         }
 
         /// The tentpole invariant: syncing a diverged replica via

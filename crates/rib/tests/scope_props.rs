@@ -144,7 +144,7 @@ proptest! {
         for op in shared.iter().filter(|o| SUBTREES[o.subtree as usize % 3] != "/dir") {
             apply(&mut scribe, op);
         }
-        for o in scribe.iter_all().cloned().collect::<Vec<_>>() {
+        for o in scribe.iter_all().map(|o| o.to_object()).collect::<Vec<_>>() {
             a.apply_remote_silent(o.clone());
             b.apply_remote_silent(o);
         }
@@ -184,15 +184,15 @@ proptest! {
             apply(&mut b, op);
         }
         let dir_a: Vec<RibObject> =
-            a.iter_all().filter(|o| o.name.starts_with("/dir/")).cloned().collect();
+            a.iter_all().filter(|o| o.name.starts_with("/dir/")).map(|o| o.to_object()).collect();
         let dir_b: Vec<RibObject> =
-            b.iter_all().filter(|o| o.name.starts_with("/dir/")).cloned().collect();
+            b.iter_all().filter(|o| o.name.starts_with("/dir/")).map(|o| o.to_object()).collect();
         sync(&mut a, &mut b);
         prop_assert_eq!(a.snapshot(), b.snapshot(), "replicated views diverge after sync");
         let dir_a_after: Vec<RibObject> =
-            a.iter_all().filter(|o| o.name.starts_with("/dir/")).cloned().collect();
+            a.iter_all().filter(|o| o.name.starts_with("/dir/")).map(|o| o.to_object()).collect();
         let dir_b_after: Vec<RibObject> =
-            b.iter_all().filter(|o| o.name.starts_with("/dir/")).cloned().collect();
+            b.iter_all().filter(|o| o.name.starts_with("/dir/")).map(|o| o.to_object()).collect();
         prop_assert_eq!(dir_a, dir_a_after, "sync perturbed a's owner-held directory");
         prop_assert_eq!(dir_b, dir_b_after, "sync perturbed b's owner-held directory");
     }

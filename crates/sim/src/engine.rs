@@ -8,7 +8,7 @@
 //! Agents are event-driven state machines in the style of smoltcp: the
 //! engine calls [`Agent::handle`] with an [`Event`] and the agent reacts by
 //! mutating its own state and issuing effects through the [`Ctx`] (send a
-//! frame, arm a timer, bump a counter).
+//! frame, arm a timer).
 
 use crate::link::{DirState, Link, LinkCfg, LinkId, LinkStats};
 use crate::time::{Dur, Time};
@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Identifier of a node within a [`Sim`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -146,7 +146,6 @@ pub(crate) struct World {
     /// Per node: (link index, side) for each interface.
     ifaces: Vec<Vec<(u32, u8)>>,
     rng: StdRng,
-    counters: BTreeMap<&'static str, u64>,
     tracer: Tracer,
 }
 
@@ -301,11 +300,6 @@ impl Ctx<'_> {
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.world.rng
     }
-
-    /// Add `delta` to the named global counter (creating it at zero).
-    pub fn counter(&mut self, name: &'static str, delta: u64) {
-        *self.world.counters.entry(name).or_insert(0) += delta;
-    }
 }
 
 struct NodeSlot {
@@ -341,7 +335,6 @@ impl Sim {
                 links: Vec::new(),
                 ifaces: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
-                counters: BTreeMap::new(),
                 tracer: Tracer::disabled(),
             },
         }
@@ -410,16 +403,6 @@ impl Sim {
     /// The current virtual time.
     pub fn now(&self) -> Time {
         self.world.time
-    }
-
-    /// Read a global counter (0 if never written).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.world.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All global counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.world.counters.iter().map(|(&k, &v)| (k, v))
     }
 
     /// Enable in-memory tracing of link-level events, keeping at most `cap`.
