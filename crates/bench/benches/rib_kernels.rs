@@ -43,7 +43,7 @@ fn hub_objects() -> Vec<Bytes> {
 fn apply_views(rib: &mut Rib, encs: &[Bytes]) -> usize {
     let mut fresh = 0;
     for e in encs {
-        let Ok(v) = RibObjectView::peek(e) else { continue };
+        let Ok(v) = RibObjectView::decode(e) else { continue };
         fresh += rib.apply_remote_view(&v) as usize;
     }
     fresh

@@ -2449,7 +2449,7 @@ impl Ipcp {
     /// watch hook and repair on the node's debounce timer (a flood of
     /// remote LSAs collapses into one classified SPF repair).
     fn apply_and_reflood(&mut self, enc: &Bytes, from_n1: usize) {
-        let Ok(obj) = RibObjectView::peek(enc) else {
+        let Ok(obj) = RibObjectView::decode(enc) else {
             self.stats.decode_errors += 1;
             return;
         };

@@ -400,7 +400,7 @@ impl<'a> RibBatchView<'a> {
     }
 
     /// Validate a batch value: every object must pass
-    /// [`RibObjectView::peek`] and nothing may trail. Accepts exactly
+    /// [`RibObjectView::decode`] and nothing may trail. Accepts exactly
     /// what [`MgmtBody::from_cdap`] accepts, so one malformed object
     /// rejects the whole batch.
     pub(crate) fn peek(value: &'a [u8]) -> Result<Self, WireError> {
@@ -408,7 +408,7 @@ impl<'a> RibBatchView<'a> {
         let count = r.varint()?;
         let start = value.len() - r.remaining();
         for _ in 0..count {
-            RibObjectView::peek(r.bytes()?)?;
+            RibObjectView::decode(r.bytes()?)?;
         }
         r.expect_end()?;
         Ok(RibBatchView { value, start, count })

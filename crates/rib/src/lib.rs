@@ -76,28 +76,12 @@ pub struct RibObject {
 impl RibObject {
     /// Encode for carriage inside a CDAP value.
     pub fn encode(&self) -> Bytes {
-        let mut w =
-            Writer::with_capacity(16 + self.name.len() + self.class.len() + self.value.len());
-        w.string(&self.name)
-            .string(&self.class)
-            .bytes(&self.value)
-            .varint(self.version)
-            .varint(self.origin)
-            .boolean(self.deleted);
-        w.finish()
+        self.view().encode()
     }
 
     /// Decode from a CDAP value.
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(buf);
-        let name = r.string()?.to_string();
-        let class = r.string()?.to_string();
-        let value = Bytes::copy_from_slice(r.bytes()?);
-        let version = r.varint()?;
-        let origin = r.varint()?;
-        let deleted = r.boolean()?;
-        r.expect_end()?;
-        Ok(RibObject { name, class, value, version, origin, deleted })
+        RibObjectView::decode(buf).map(|v| v.to_object())
     }
 
     /// Borrow as a view.
@@ -116,10 +100,12 @@ impl RibObject {
 /// Borrowed, read-only view of one object version, with the fields of
 /// [`RibObject`]. It is what the RIB's reads ([`Rib::get`],
 /// [`Rib::iter_prefix`], [`Rib::iter_all`]) return, and the receive
-/// path's peek: [`RibObjectView::peek`] reads every field of an encoding
-/// in place, so a received object can be checked for freshness, and a
-/// stale one dropped, before anything is allocated.
+/// path's peek: [`RibObjectView::decode`] reads every field of an
+/// encoding in place, so a received object can be checked for freshness,
+/// and a stale one dropped, before anything is allocated.
 /// [`RibObjectView::to_object`] is the one copy a fresh object pays.
+/// Its `decode`/`encode` pair is the one reader and the one writer of the
+/// object wire format; [`RibObject`]'s codec goes through them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RibObjectView<'a> {
     /// Path-style instance name.
@@ -134,9 +120,9 @@ pub struct RibObjectView<'a> {
     pub origin: u64,
     /// True if this version deletes the object.
     pub deleted: bool,
-    /// Length of the encoding this view was peeked from; the canonical
-    /// length for a view of stored or owned fields.
-    wire_len: usize,
+    /// Length of the encoding this view was peeked from; `None` for a
+    /// view of stored or owned fields, which encodes canonically.
+    wire_len: Option<usize>,
 }
 
 impl<'a> RibObjectView<'a> {
@@ -149,15 +135,12 @@ impl<'a> RibObjectView<'a> {
         origin: u64,
         deleted: bool,
     ) -> Self {
-        let mut v = RibObjectView { name, class, value, version, origin, deleted, wire_len: 0 };
-        v.wire_len = v.canonical_len();
-        v
+        RibObjectView { name, class, value, version, origin, deleted, wire_len: None }
     }
 
-    /// Peek an encoded object. Accepts exactly the buffers
-    /// [`RibObject::decode`] accepts, with the same error, and never
-    /// panics on arbitrary bytes.
-    pub fn peek(buf: &'a [u8]) -> Result<Self, WireError> {
+    /// Peek an encoded object: decode it in place, borrowing every field
+    /// from `buf`. Never panics on arbitrary bytes.
+    pub fn decode(buf: &'a [u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(buf);
         let name = r.string()?;
         let class = r.string()?;
@@ -166,7 +149,15 @@ impl<'a> RibObjectView<'a> {
         let origin = r.varint()?;
         let deleted = r.boolean()?;
         r.expect_end()?;
-        Ok(RibObjectView { name, class, value, version, origin, deleted, wire_len: buf.len() })
+        Ok(RibObjectView {
+            name,
+            class,
+            value,
+            version,
+            origin,
+            deleted,
+            wire_len: Some(buf.len()),
+        })
     }
 
     /// Copy out into an owned object. The value is copied, so an owned
@@ -182,8 +173,7 @@ impl<'a> RibObjectView<'a> {
         }
     }
 
-    /// Encode for carriage inside a CDAP value: the canonical encoding,
-    /// the same bytes [`RibObject::encode`] writes for these fields.
+    /// Encode for carriage inside a CDAP value: the canonical encoding.
     pub fn encode(&self) -> Bytes {
         let mut w = Writer::with_capacity(self.canonical_len());
         w.string(self.name)
@@ -201,7 +191,7 @@ impl<'a> RibObjectView<'a> {
     /// encoding: equal length to the canonical form means equal bytes.
     /// A view that was not peeked is canonical.
     pub fn is_canonical(&self) -> bool {
-        self.wire_len == self.canonical_len()
+        self.wire_len.is_none_or(|n| n == self.canonical_len())
     }
 
     /// Length of the canonical encoding.
@@ -358,31 +348,62 @@ const _: () = assert!(
     "a stored object outgrew its documented size"
 );
 
-/// A RIB's interned object classes: an id indexes `names`, and `by_name`
-/// holds the ids sorted by class name for lookup.
+/// A RIB's interned object classes, reference-counted by the stored
+/// objects: an id indexes `names`, and `by_name` holds the live ids
+/// sorted by class name for lookup. A class no stored object uses any
+/// more is dropped and its id reused, so the table never outgrows the
+/// objects, whatever classes a peer sends over time.
 #[derive(Debug, Default)]
 struct Classes {
-    names: Vec<Box<str>>,
+    /// Class name and the number of stored objects of it, by id; a free
+    /// id holds an empty name and a zero count.
+    names: Vec<(Box<str>, usize)>,
     by_name: Vec<u32>,
+    /// Ids of dropped classes, for reuse.
+    free: Vec<u32>,
 }
 
 impl Classes {
-    /// The id of `class`, interning it if new.
-    fn id(&mut self, class: &str) -> u32 {
-        let names = &self.names;
-        match self.by_name.binary_search_by(|&id| (*names[id as usize]).cmp(class)) {
+    /// Where `class` is, or would be, in `by_name`.
+    fn find(&self, class: &str) -> Result<usize, usize> {
+        self.by_name.binary_search_by(|&id| (*self.names[id as usize].0).cmp(class))
+    }
+
+    /// The id of `class` for one more object of it, interning it if new.
+    fn acquire(&mut self, class: &str) -> u32 {
+        let id = match self.find(class) {
             Ok(i) => self.by_name[i],
             Err(i) => {
-                let id = u32::try_from(names.len()).expect("fewer classes than objects");
-                self.names.push(class.into());
+                let id = match self.free.pop() {
+                    Some(id) => id,
+                    None => {
+                        self.names.push(Default::default());
+                        u32::try_from(self.names.len() - 1).expect("fewer than 2^32 classes")
+                    }
+                };
+                self.names[id as usize].0 = class.into();
                 self.by_name.insert(i, id);
                 id
             }
+        };
+        self.names[id as usize].1 += 1;
+        id
+    }
+
+    /// One object fewer of class `id`; the last one drops the class.
+    fn release(&mut self, id: u32) {
+        let count = &mut self.names[id as usize].1;
+        *count -= 1;
+        if *count == 0 {
+            let i = self.find(self.name(id)).expect("a live class is indexed");
+            self.by_name.remove(i);
+            self.names[id as usize].0 = Box::default();
+            self.free.push(id);
         }
     }
 
     fn name(&self, id: u32) -> &str {
-        &self.names[id as usize]
+        &self.names[id as usize].0
     }
 }
 
@@ -742,12 +763,17 @@ impl Rib {
                     return false;
                 }
                 xor ^= fingerprint(name_h, cur.version, cur.origin, cur.body.deleted());
-                *cur = Entry::new(obj, self.classes.id(obj.class));
+                let mut class = cur.body.class();
+                if self.classes.name(class) != obj.class {
+                    self.classes.release(class);
+                    class = self.classes.acquire(obj.class);
+                }
+                *cur = Entry::new(obj, class);
                 false
             }
             None => {
-                self.objects
-                    .insert(Name::new(obj.name), Entry::new(obj, self.classes.id(obj.class)));
+                let class = self.classes.acquire(obj.class);
+                self.objects.insert(Name::new(obj.name), Entry::new(obj, class));
                 true
             }
         };
@@ -1545,6 +1571,54 @@ mod tests {
     }
 
     #[test]
+    fn class_table_never_outgrows_the_objects() {
+        let mut rib = Rib::new(1);
+        rib.write_local("/x/a", "shared", Bytes::new());
+        for i in 0..1000 {
+            rib.write_local("/x/b", &format!("fresh-{i}"), Bytes::new());
+            assert_eq!(rib.classes.by_name.len(), 2);
+        }
+        assert!(rib.classes.names.len() <= 3, "{} class slots", rib.classes.names.len());
+        assert_eq!(rib.get("/x/a").unwrap().class, "shared");
+        assert_eq!(rib.get("/x/b").unwrap().class, "fresh-999");
+        // Tombstones keep their class; a remote version may change it.
+        rib.delete_local("/x/a");
+        let tomb = rib.iter_all().find(|o| o.name == "/x/a").unwrap().to_object();
+        assert_eq!(tomb.class, "shared");
+        let obj = RibObject { class: "fresh-999".into(), version: tomb.version + 1, ..tomb };
+        assert!(rib.apply_remote_silent(obj));
+        assert_eq!(rib.classes.by_name.len(), 1);
+        assert_eq!(rib.iter_all().find(|o| o.name == "/x/a").unwrap().class, "fresh-999");
+    }
+
+    #[test]
+    fn freed_class_ids_are_reused_without_aliasing() {
+        let mut rib = Rib::new(1);
+        rib.write_local("/x/a", "x", Bytes::new());
+        rib.write_local("/x/b", "x", Bytes::new());
+        rib.write_local("/x/a", "y", Bytes::new());
+        rib.write_local("/x/b", "z", Bytes::new()); // frees "x"
+        rib.write_local("/x/a", "w", Bytes::new()); // takes its id, frees "y"
+        rib.write_local("/x/c", "v", Bytes::new()); // takes "y"'s id
+        let classes: Vec<_> = rib.iter_all().map(|o| (o.name, o.class)).collect();
+        assert_eq!(classes, [("/x/a", "w"), ("/x/b", "z"), ("/x/c", "v")]);
+        assert_eq!(rib.classes.names.len(), 3);
+        assert!(rib.classes.free.is_empty());
+    }
+
+    #[test]
+    fn stored_views_are_canonical() {
+        let mut rib = Rib::new(300);
+        rib.write_local("/dir/\u{e9}t\u{e9}", "dir", Bytes::from_static(&[7; 40]));
+        let v = rib.get("/dir/\u{e9}t\u{e9}").unwrap();
+        assert!(v.is_canonical());
+        assert_eq!(
+            RibObjectView::decode(&v.encode()).unwrap(),
+            RibObjectView { wire_len: Some(v.canonical_len()), ..v }
+        );
+    }
+
+    #[test]
     fn view_of_encoder_output_is_canonical() {
         let o = RibObject {
             name: "/lsa/300".into(),
@@ -1555,7 +1629,7 @@ mod tests {
             deleted: false,
         };
         let enc = o.encode();
-        let v = RibObjectView::peek(&enc).unwrap();
+        let v = RibObjectView::decode(&enc).unwrap();
         assert!(v.is_canonical());
         assert_eq!(v.to_object(), o);
     }
@@ -1587,7 +1661,7 @@ mod tests {
             w.finish()
         };
         for enc in [padded_version, padded_name_len] {
-            let v = RibObjectView::peek(&enc).unwrap();
+            let v = RibObjectView::decode(&enc).unwrap();
             assert_eq!(v.to_object(), o);
             assert!(!v.is_canonical(), "{:?}", enc.as_ref());
             assert_ne!(enc.as_ref(), o.encode().as_ref());
@@ -1613,7 +1687,7 @@ mod tests {
             (o(3, "other", b"d"), true),
         ] {
             let enc = obj.encode();
-            assert_eq!(r.apply_remote_view(&RibObjectView::peek(&enc).unwrap()), fresh);
+            assert_eq!(r.apply_remote_view(&RibObjectView::decode(&enc).unwrap()), fresh);
         }
         assert_eq!(r.get("/lsa/9").map(|v| v.to_object()), Some(o(3, "other", b"d")));
         assert_eq!(r.object_count(), 1);
@@ -1686,9 +1760,10 @@ mod tests {
     ];
 
     proptest! {
-        /// The peek accepts exactly what the decoder accepts, with the
-        /// same fields and the same error: on random bytes, on truncated
-        /// encoder output, and on encoder output with one byte changed.
+        /// The borrowed decode never panics, agrees with the owned one
+        /// and is canonical exactly when re-encoding reproduces the bytes:
+        /// on random bytes, on truncated encoder output, and on encoder
+        /// output with one byte changed.
         #[test]
         fn prop_view_peek_agrees_with_decode(
             noise in proptest::collection::vec(any::<u8>(), 0..48),
@@ -1709,7 +1784,7 @@ mod tests {
             let i = flip_at % flipped.len();
             flipped[i] = flip_to;
             for buf in [noise, enc, truncated, flipped] {
-                let peeked = RibObjectView::peek(&buf);
+                let peeked = RibObjectView::decode(&buf);
                 prop_assert_eq!(peeked.map(|v| v.to_object()), RibObject::decode(&buf));
                 if let Ok(v) = peeked {
                     // Canonical exactly when re-encoding reproduces the bytes.
@@ -1807,7 +1882,7 @@ mod tests {
                         let fresh = match k {
                             2 => a.apply_remote(remote.clone()),
                             3 => a.apply_remote_silent(remote.clone()),
-                            _ => a.apply_remote_view(&RibObjectView::peek(&enc).unwrap()),
+                            _ => a.apply_remote_view(&RibObjectView::decode(&enc).unwrap()),
                         };
                         prop_assert_eq!(fresh, b.apply_remote_silent(remote));
                         fresh

@@ -248,7 +248,7 @@ proptest! {
                 ),
                 _ => {
                     let enc = remote.encode();
-                    let view = RibObjectView::peek(&enc).expect("encoder output peeks");
+                    let view = RibObjectView::decode(&enc).expect("encoder output peeks");
                     prop_assert_eq!(
                         rib.apply_remote_view(&view),
                         model.apply_remote(&remote, false)
